@@ -5,6 +5,9 @@ Usage shape:
     vndim <group> <verb> [flags] [--format {text,json,csv}] [--ascii]
     vndim table <name>   [--format ...]
 
+Each group and verb is described once, in the ordered registry ``OPERATIONS``;
+``build_parser`` walks it and ``main`` runs every verb through one handler.
+
 Exit codes: 0 success, 1 usage error (unknown verb, malformed primitive flag),
 2 domain error (NoOccurrence, NoSuchLattice, parity violations, ...).
 
@@ -21,19 +24,18 @@ import csv
 import io
 import json
 import math
-import os
+import operator
 import sys
+from collections import namedtuple
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import factors, finite_field, fuchsian, padic
 from .errors import DomainError
 from .exact import PiRational, parse_pi_rational
-from .fuchsian import DEFAULT_SCAN_CAP, GroupMode, parse_signature
+from .fuchsian import GroupMode, parse_signature
 from .padic import HaarNormalization, PadicRep, parse_jl_class
 from .tables import Table, build_table
-
-SCAN_CAP_ENV = "VNDIM_SCAN_CAP"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -77,14 +79,11 @@ def _parse_nu(text: str, q) -> int:
         ) from None
 
 
-def _scan_cap() -> int:
-    raw = os.environ.get(SCAN_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SCAN_CAP
+def _parse_jl_class(text: str) -> padic.JLClass:
     try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{SCAN_CAP_ENV} must be an integer, got {raw!r}") from None
+        return parse_jl_class(text)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 # -- output rendering ----------------------------------------------------------
@@ -172,198 +171,175 @@ def render_result(result, fmt: str, ascii_pi: bool) -> str:
     return _cell_text(result, ascii_pi) + "\n"
 
 
-# -- handlers --------------------------------------------------------------------
+# -- the operation registry ------------------------------------------------------
+
+#: One parameter of an operation: its flag, namespace attribute, argparse
+#: keywords, and converter.
+Param = namedtuple("Param", "flag dest options convert")
 
 
-def _mode(args) -> GroupMode:
-    return GroupMode(args.mode)
+class Kind:
+    """How a parameter is declared to argparse and turned into a library argument.
+
+    ``convert(value, args)`` runs after parsing, so that its DomainError exits 2
+    while argparse's own ``type=int`` failures stay usage errors (exit 1);
+    ``args`` is the whole namespace, which ``--nu`` needs for ``--q``.
+    """
+
+    def __init__(self, convert=lambda value, args: value, **options):
+        self.convert = convert
+        self.options = options
+
+    def __call__(self, flag: str, help: str | None = None) -> Param:
+        options = dict(self.options, help=help) if help else self.options
+        return Param(flag, flag.lstrip("-").replace("-", "_"), options, self.convert)
 
 
-def _norm(args) -> HaarNormalization:
-    return HaarNormalization(args.norm)
+INT = Kind(type=int, required=True)
+NAME = Kind(required=True)
+SCALAR = Kind(lambda text, args: _parse_scalar(text), required=True)
+FRACTION = Kind(lambda text, args: _parse_fraction(text), required=True)
+SIGNATURE = Kind(lambda text, args: parse_signature(text), required=True)
+NU = Kind(lambda text, args: _parse_nu(text, args.q), required=True)
+JL_CLASS = Kind(lambda text, args: _parse_jl_class(text), required=True)
+MODE = Kind(
+    lambda text, args: GroupMode(text), choices=("psl", "sl"), default="psl",
+    help="psl: odd parameters only (default); sl: any parameter >= 1",
+)
+NORM = Kind(
+    lambda text, args: HaarNormalization(text),
+    choices=("iwahori1", "k1", "kq1", "khalf"), default="k1",
+    help="Haar normalization: vol(I.Z/Z)=1, vol(K.Z/Z)=1 (default), q+1, or (q-1)/2",
+)
+REP = Kind(lambda text, args: PadicRep(text), choices=("steinberg", "cuspidal"),
+           default="steinberg")
+TABLE_NAME = Kind(help="hecke:<qmax> | free-congruence | vn-free:<m> | "
+                  "padic:<q>:<nmax> | jl:<p>:<jmax>")
+FORMAT = Kind(choices=("text", "json", "csv"), default="text", help="output format (default: text)")
+ASCII = Kind(action="store_true", help="render pi as 'pi' instead of the unicode letter")
+#: The flags every operation takes besides its own.
+COMMON = (FORMAT("--format"), ASCII("--ascii"))
 
 
-def _h_exact_mul(args):
-    return _parse_scalar(args.a) * _parse_scalar(args.b)
+class Op(namedtuple("Op", "group verb help fn params")):
+    """One registry entry: a group, or a verb of the group above it.
+
+    ``fn`` receives the converted parameters positionally, in order.  A group
+    entry without ``fn`` holds verbs; one with ``fn`` is itself the operation,
+    as ``vndim table <name>`` is.
+    """
+
+    def __new__(cls, group: str, verb: str | None, help: str, fn=None, *params: Param):
+        return super().__new__(cls, group, verb, help, fn, params)
 
 
-def _h_exact_compare(args):
-    order = _parse_scalar(args.a).compare(_parse_scalar(args.b))
-    return {-1: "less", 0: "equal", 1: "greater"}[order]
+# Verbs whose results the CLI reshapes rather than prints as the library returns them.
 
 
-def _h_fuchsian_covolume(args):
-    return fuchsian.covolume(parse_signature(args.sig))
+def _compare(a: PiRational, b: PiRational) -> str:
+    return {-1: "less", 0: "equal", 1: "greater"}[a.compare(b)]
 
 
-def _h_fuchsian_cuspdim(args):
-    return fuchsian.cusp_form_dim(parse_signature(args.sig), args.weight)
-
-
-def _h_fuchsian_mult(args):
-    return fuchsian.discrete_series_multiplicity(parse_signature(args.sig), args.m, _mode(args))
-
-
-def _h_fuchsian_formaldim(args):
-    return fuchsian.formal_dimension_psl(args.m, _mode(args))
-
-
-def _h_fuchsian_vndim(args):
-    return fuchsian.vn_dimension(parse_signature(args.sig), args.m, _mode(args))
-
-
-def _h_fuchsian_minweight(args):
-    return fuchsian.minimal_discrete_series_weight(
-        parse_signature(args.sig), _mode(args), cap=_scan_cap()
-    )
-
-
-def _h_fuchsian_twolattice(args):
-    return fuchsian.two_lattice_vn_dimension(
-        parse_signature(args.sig1), parse_signature(args.sig2), args.m, cap=_scan_cap()
-    )
-
-
-def _h_fuchsian_catalog(args):
-    sig = fuchsian.catalog(args.name)
+def _catalog(name: str) -> dict:
+    sig = fuchsian.catalog(name)
     return {"signature": str(sig), "covolume": fuchsian.covolume(sig)}
 
 
-def _h_factor_coupling(args):
-    return factors.matrix_coupling(args.n, args.k)
+def _valuation(r: Fraction, p: int) -> dict:
+    return {"valuation": padic.padic_valuation(r, p), "abs": padic.padic_abs(r, p)}
 
 
-def _h_factor_jones(args):
-    return factors.jones_index(_parse_fraction(args.sub), _parse_fraction(args.ambient))
-
-
-def _h_factor_fgindex(args):
-    return factors.free_group_index(args.ambient_rank, args.sub_rank)
-
-
-def _h_ff_orders(args):
-    return finite_field.group_orders(args.q)
-
-
-def _h_ff_enumerate(args):
-    return finite_field.enumerate_gl2(args.q)
-
-
-def _h_ff_isregular(args):
-    return finite_field.is_regular(args.q, args.a)
-
-
-def _h_ff_countregular(args):
-    return finite_field.count_regular_characters(args.q, _parse_nu(args.nu, args.q))
-
-
-def _h_ff_bruteregular(args):
-    return finite_field.brute_force_regular_characters(args.q, _parse_nu(args.nu, args.q))
-
-
-def _h_ff_normtrace(args):
-    return finite_field.norm_trace_facts(args.q)
-
-
-def _h_ff_repdims(args):
-    return finite_field.finite_rep_dims(args.q)
-
-
-def _h_padic_valuation(args):
-    r = _parse_fraction(args.r)
-    return {
-        "valuation": padic.padic_valuation(r, args.p),
-        "abs": padic.padic_abs(r, args.p),
-    }
-
-
-def _h_padic_ultrametric(args):
-    return padic.ultrametric_check(_parse_fraction(args.r), _parse_fraction(args.s), args.p)
-
-
-def _h_padic_level(args):
-    return padic.extension_level_arithmetic(args.n, args.e)
-
-
-def _h_padic_quadext(args):
-    return padic.quadratic_extension_count(args.p)
-
-
-def _h_padic_weyl(args):
-    return [str(word) for word in padic.weyl_enumerate(args.max_length)]
-
-
-def _h_padic_weylsum(args):
-    return padic.weyl_partial_sum(args.q, args.max_length)
-
-
-def _h_padic_weylclosed(args):
-    return padic.weyl_closed_form(args.q)
-
-
-def _h_padic_haar(args):
-    return padic.haar_volumes(args.q, _norm(args))
-
-
-def _h_padic_steinberg(args):
-    return padic.steinberg_formal_dim(args.q, _norm(args))
-
-
-def _h_padic_depthzero(args):
-    return padic.depth_zero_formal_dim(args.q, _norm(args))
-
-
-def _h_padic_lattice(args):
-    lattice = padic.ihara_lattice(args.q, args.n)
+def _lattice(q: int, n: int) -> dict:
+    lattice = padic.ihara_lattice(q, n)
     return {"q": lattice.q.q, "rank": lattice.rank, "h": lattice.h}
 
 
-def _h_padic_covolume(args):
-    return padic.lattice_covolume(args.q, args.n, _norm(args))
+def _weyl(max_length: int) -> list:
+    return [str(word) for word in padic.weyl_enumerate(max_length)]
 
 
-def _h_padic_vndim(args):
-    return padic.vn_dimension_padic(args.q, args.n, PadicRep(args.rep), _norm(args))
+OPERATIONS = (
+    Op("exact", None, "exact pi-rational scalar arithmetic"),
+    Op("exact", "mul", "exact product of two scalars", operator.mul,
+       SCALAR("--a", "scalar, e.g. '5/(4*pi)' or JSON"), SCALAR("--b")),
+    Op("exact", "compare", "order two like scalars: less/equal/greater", _compare,
+       SCALAR("--a"), SCALAR("--b")),
+    Op("fuchsian", None, "lattices in PSL(2,R)"),
+    Op("fuchsian", "covolume", "Gauss-Bonnet covolume of a signature", fuchsian.covolume,
+       SIGNATURE("--sig", 'signature "g;m1,...;h", e.g. "0;-;3"')),
+    Op("fuchsian", "cuspdim", "dimension of the weight-k cusp forms", fuchsian.cusp_form_dim,
+       SIGNATURE("--sig"), INT("--weight", "even weight k")),
+    Op("fuchsian", "mult", "multiplicity of the parameter-m discrete series",
+       fuchsian.discrete_series_multiplicity, SIGNATURE("--sig"), INT("--m"), MODE("--mode")),
+    Op("fuchsian", "formaldim", "formal dimension m/(4*pi)", fuchsian.formal_dimension_psl,
+       INT("--m"), MODE("--mode")),
+    Op("fuchsian", "vndim", "von Neumann dimension over the lattice algebra",
+       fuchsian.vn_dimension, SIGNATURE("--sig"), INT("--m"), MODE("--mode")),
+    Op("fuchsian", "minweight", "smallest occurring discrete-series parameter",
+       fuchsian.minimal_discrete_series_weight, SIGNATURE("--sig"), MODE("--mode")),
+    Op("fuchsian", "twolattice",
+       "dimension of lattice 2's algebra on the series realized over lattice 1",
+       fuchsian.two_lattice_vn_dimension, SIGNATURE("--sig1"), SIGNATURE("--sig2"), INT("--m")),
+    Op("fuchsian", "catalog", "look up a named group's signature", _catalog,
+       NAME("--name", '"H<q>", "Gamma0(4)", "Gamma0(4)capGamma(2)", or "Gamma(4)"')),
+    Op("factor", None, "coupling constants and indices of finite factors"),
+    Op("factor", "coupling", "coupling constant k/n of M_n on C^n (x) C^k",
+       factors.matrix_coupling, INT("--n"), INT("--k")),
+    Op("factor", "jones", "subfactor index from two module dimensions", factors.jones_index,
+       FRACTION("--sub", "module dimension over the subfactor"),
+       FRACTION("--ambient", "module dimension over the ambient factor")),
+    Op("factor", "fgindex", "Nielsen-Schreier index between free-group ranks",
+       factors.free_group_index, INT("--ambient-rank"), INT("--sub-rank")),
+    Op("ff", None, "finite-field structure of GL(2,F_q)"),
+    Op("ff", "orders", "orders of GL(2,F_q) and its Borel subgroup", finite_field.group_orders,
+       INT("--q")),
+    Op("ff", "enumerate", "brute-force matrix counts (q <= 9)", finite_field.enumerate_gl2,
+       INT("--q")),
+    Op("ff", "isregular", "is the index-a character of F_{q^2}^x regular?",
+       finite_field.is_regular, INT("--q"), INT("--a")),
+    Op("ff", "countregular", "closed-form regular-character count",
+       finite_field.count_regular_characters,
+       INT("--q"), NU("--nu", "index mod q-1, or 'trivial'/'sign'")),
+    Op("ff", "bruteregular", "enumerated regular-character count (q <= 9)",
+       finite_field.brute_force_regular_characters, INT("--q"), NU("--nu")),
+    Op("ff", "normtrace", "norm/trace surjectivity and norm kernel (q <= 9)",
+       finite_field.norm_trace_facts, INT("--q")),
+    Op("ff", "repdims", "dimensions of the basic GL(2,F_q) representations",
+       finite_field.finite_rep_dims, INT("--q")),
+    Op("padic", None, "PGL(2,F) side: valuations, lattices, dimensions"),
+    Op("padic", "valuation", "p-adic valuation and absolute value", _valuation,
+       FRACTION("--r", "rational, e.g. 7/25"), INT("--p")),
+    Op("padic", "ultrametric", "check |r+s|_p <= max(|r|_p, |s|_p)", padic.ultrametric_check,
+       FRACTION("--r"), FRACTION("--s"), INT("--p")),
+    Op("padic", "level", "character level arithmetic for a quadratic extension",
+       padic.extension_level_arithmetic,
+       INT("--n", "level of the base character"), INT("--e", "ramification index, 1 or 2")),
+    Op("padic", "quadext", "number of quadratic extensions of Q_p",
+       padic.quadratic_extension_count, INT("--p")),
+    Op("padic", "weyl", "reduced affine-Weyl words up to a length", _weyl, INT("--max-length")),
+    Op("padic", "weylsum", "partial sum 2*sum q^(-l) over lengths <= L", padic.weyl_partial_sum,
+       INT("--q"), INT("--max-length")),
+    Op("padic", "weylclosed", "closed form 2(q+1)/(q-1) of the full series",
+       padic.weyl_closed_form, INT("--q")),
+    Op("padic", "haar", "volumes of I.Z/Z and K.Z/Z under a normalization", padic.haar_volumes,
+       INT("--q"), NORM("--norm")),
+    Op("padic", "steinberg", "Steinberg formal dimension", padic.steinberg_formal_dim,
+       INT("--q"), NORM("--norm")),
+    Op("padic", "depthzero", "depth-zero cuspidal formal dimension", padic.depth_zero_formal_dim,
+       INT("--q"), NORM("--norm")),
+    Op("padic", "lattice", "rank-n free lattice data (h double cosets)", _lattice,
+       INT("--q"), INT("--n")),
+    Op("padic", "covolume", "covolume of the rank-n free lattice", padic.lattice_covolume,
+       INT("--q"), INT("--n"), NORM("--norm")),
+    Op("padic", "vndim", "von Neumann dimension over the rank-n free lattice",
+       padic.vn_dimension_padic, INT("--q"), INT("--n"), REP("--rep"), NORM("--norm")),
+    Op("padic", "jl", "formal dimension via the quaternion-side table", padic.jl_formal_dim,
+       INT("--p"), JL_CLASS("--cls", "special, unram:j=<n>, or ram:j=<n>")),
+    Op("table", None, "regenerate a reference table", build_table, TABLE_NAME("name")),
+)
 
 
-def _h_padic_jl(args):
-    try:
-        cls = parse_jl_class(args.cls)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-    return padic.jl_formal_dim(args.p, cls)
-
-
-def _h_table(args):
-    return build_table(args.name)
-
-
-# -- parser construction -----------------------------------------------------------
-
-
-def _add_common(parser):
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--ascii", action="store_true",
-        help="render pi as 'pi' instead of the unicode letter",
-    )
-
-
-def _add_mode(parser):
-    parser.add_argument(
-        "--mode", choices=("psl", "sl"), default="psl",
-        help="psl: odd parameters only (default); sl: any parameter >= 1",
-    )
-
-
-def _add_norm(parser):
-    parser.add_argument(
-        "--norm", choices=("iwahori1", "k1", "kq1", "khalf"), default="k1",
-        help="Haar normalization: vol(I.Z/Z)=1, vol(K.Z/Z)=1 (default), q+1, or (q-1)/2",
-    )
+# -- parser construction and dispatch ----------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,142 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
         "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F).",
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def op(sub, name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        _add_common(p)
-        return p
-
-    # exact
-    g = groups.add_parser("exact", help="exact pi-rational scalar arithmetic")
-    sub = g.add_subparsers(dest="verb", required=True, metavar="VERB")
-    p = op(sub, "mul", _h_exact_mul, "exact product of two scalars")
-    p.add_argument("--a", required=True, help="scalar, e.g. '5/(4*pi)' or JSON")
-    p.add_argument("--b", required=True)
-    p = op(sub, "compare", _h_exact_compare, "order two like scalars: less/equal/greater")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    # fuchsian
-    g = groups.add_parser("fuchsian", help="lattices in PSL(2,R)")
-    sub = g.add_subparsers(dest="verb", required=True, metavar="VERB")
-    p = op(sub, "covolume", _h_fuchsian_covolume, "Gauss-Bonnet covolume of a signature")
-    p.add_argument("--sig", required=True, help='signature "g;m1,...;h", e.g. "0;-;3"')
-    p = op(sub, "cuspdim", _h_fuchsian_cuspdim, "dimension of the weight-k cusp forms")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--weight", type=int, required=True, help="even weight k")
-    p = op(sub, "mult", _h_fuchsian_mult, "multiplicity of the parameter-m discrete series")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_mode(p)
-    p = op(sub, "formaldim", _h_fuchsian_formaldim, "formal dimension m/(4*pi)")
-    p.add_argument("--m", type=int, required=True)
-    _add_mode(p)
-    p = op(sub, "vndim", _h_fuchsian_vndim, "von Neumann dimension over the lattice algebra")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_mode(p)
-    p = op(sub, "minweight", _h_fuchsian_minweight, "smallest occurring discrete-series parameter")
-    p.add_argument("--sig", required=True)
-    _add_mode(p)
-    p = op(sub, "twolattice", _h_fuchsian_twolattice,
-           "dimension of lattice 2's algebra on the series realized over lattice 1")
-    p.add_argument("--sig1", required=True)
-    p.add_argument("--sig2", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p = op(sub, "catalog", _h_fuchsian_catalog, "look up a named group's signature")
-    p.add_argument("--name", required=True, help='"H<q>", "Gamma0(4)", '
-                   '"Gamma0(4)capGamma(2)", or "Gamma(4)"')
-
-    # factor
-    g = groups.add_parser("factor", help="coupling constants and indices of finite factors")
-    sub = g.add_subparsers(dest="verb", required=True, metavar="VERB")
-    p = op(sub, "coupling", _h_factor_coupling, "coupling constant k/n of M_n on C^n (x) C^k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = op(sub, "jones", _h_factor_jones, "subfactor index from two module dimensions")
-    p.add_argument("--sub", required=True, help="module dimension over the subfactor")
-    p.add_argument("--ambient", required=True, help="module dimension over the ambient factor")
-    p = op(sub, "fgindex", _h_factor_fgindex, "Nielsen-Schreier index between free-group ranks")
-    p.add_argument("--ambient-rank", type=int, required=True)
-    p.add_argument("--sub-rank", type=int, required=True)
-
-    # ff
-    g = groups.add_parser("ff", help="finite-field structure of GL(2,F_q)")
-    sub = g.add_subparsers(dest="verb", required=True, metavar="VERB")
-    p = op(sub, "orders", _h_ff_orders, "orders of GL(2,F_q) and its Borel subgroup")
-    p.add_argument("--q", type=int, required=True)
-    p = op(sub, "enumerate", _h_ff_enumerate, "brute-force matrix counts (q <= 9)")
-    p.add_argument("--q", type=int, required=True)
-    p = op(sub, "isregular", _h_ff_isregular, "is the index-a character of F_{q^2}^x regular?")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p = op(sub, "countregular", _h_ff_countregular, "closed-form regular-character count")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nu", required=True, help="index mod q-1, or 'trivial'/'sign'")
-    p = op(sub, "bruteregular", _h_ff_bruteregular, "enumerated regular-character count (q <= 9)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nu", required=True)
-    p = op(sub, "normtrace", _h_ff_normtrace, "norm/trace surjectivity and norm kernel (q <= 9)")
-    p.add_argument("--q", type=int, required=True)
-    p = op(sub, "repdims", _h_ff_repdims, "dimensions of the basic GL(2,F_q) representations")
-    p.add_argument("--q", type=int, required=True)
-
-    # padic
-    g = groups.add_parser("padic", help="PGL(2,F) side: valuations, lattices, dimensions")
-    sub = g.add_subparsers(dest="verb", required=True, metavar="VERB")
-    p = op(sub, "valuation", _h_padic_valuation, "p-adic valuation and absolute value")
-    p.add_argument("--r", required=True, help="rational, e.g. 7/25")
-    p.add_argument("--p", type=int, required=True)
-    p = op(sub, "ultrametric", _h_padic_ultrametric, "check |r+s|_p <= max(|r|_p, |s|_p)")
-    p.add_argument("--r", required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p = op(sub, "level", _h_padic_level, "character level arithmetic for a quadratic extension")
-    p.add_argument("--n", type=int, required=True, help="level of the base character")
-    p.add_argument("--e", type=int, required=True, help="ramification index, 1 or 2")
-    p = op(sub, "quadext", _h_padic_quadext, "number of quadratic extensions of Q_p")
-    p.add_argument("--p", type=int, required=True)
-    p = op(sub, "weyl", _h_padic_weyl, "reduced affine-Weyl words up to a length")
-    p.add_argument("--max-length", type=int, required=True)
-    p = op(sub, "weylsum", _h_padic_weylsum, "partial sum 2*sum q^(-l) over lengths <= L")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-length", type=int, required=True)
-    p = op(sub, "weylclosed", _h_padic_weylclosed, "closed form 2(q+1)/(q-1) of the full series")
-    p.add_argument("--q", type=int, required=True)
-    p = op(sub, "haar", _h_padic_haar, "volumes of I.Z/Z and K.Z/Z under a normalization")
-    p.add_argument("--q", type=int, required=True)
-    _add_norm(p)
-    p = op(sub, "steinberg", _h_padic_steinberg, "Steinberg formal dimension")
-    p.add_argument("--q", type=int, required=True)
-    _add_norm(p)
-    p = op(sub, "depthzero", _h_padic_depthzero, "depth-zero cuspidal formal dimension")
-    p.add_argument("--q", type=int, required=True)
-    _add_norm(p)
-    p = op(sub, "lattice", _h_padic_lattice, "rank-n free lattice data (h double cosets)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = op(sub, "covolume", _h_padic_covolume, "covolume of the rank-n free lattice")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_norm(p)
-    p = op(sub, "vndim", _h_padic_vndim, "von Neumann dimension over the rank-n free lattice")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rep", choices=("steinberg", "cuspidal"), default="steinberg")
-    _add_norm(p)
-    p = op(sub, "jl", _h_padic_jl, "formal dimension via the quaternion-side table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--cls", required=True, help="special, unram:j=<n>, or ram:j=<n>")
-
-    # table
-    p = groups.add_parser("table", help="regenerate a reference table")
-    p.set_defaults(handler=_h_table)
-    p.add_argument("name", help="hecke:<qmax> | free-congruence | vn-free:<m> | "
-                   "padic:<q>:<nmax> | jl:<p>:<jmax>")
-    _add_common(p)
-
+    for op in OPERATIONS:
+        if op.verb is None:
+            p = groups.add_parser(op.group, help=op.help)
+            if op.fn is None:  # a group of verbs: they follow it in the registry
+                verbs = p.add_subparsers(dest="verb", required=True, metavar="VERB")
+                continue
+        else:
+            p = verbs.add_parser(op.verb, help=op.help)
+        p.set_defaults(op=op)
+        for param in COMMON + op.params:
+            p.add_argument(param.flag, **param.options)
     return parser
 
 
@@ -518,8 +369,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    op = args.op
+    # The callable is looked up by name at call time, so that a patched module
+    # attribute (a test double, perfbench's span recorder) takes effect here
+    # exactly as it would for a direct call.
+    fn = getattr(sys.modules[op.fn.__module__], op.fn.__name__)
     try:
-        result = args.handler(args)
+        result = fn(*(param.convert(getattr(args, param.dest), args) for param in op.params))
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

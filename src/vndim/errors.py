@@ -57,10 +57,6 @@ class UnknownGroup(DomainError):
     """Catalog lookup for a name that is not in the catalog."""
 
 
-class ScanCapExceeded(DomainError):
-    """The minimal-weight scan passed its safety cap without a hit."""
-
-
 # -- finite factors ---------------------------------------------------------
 
 class ZeroSize(DomainError):

@@ -126,7 +126,16 @@ class PiRational:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiRational":
-        return cls(Fraction(int(data["num"]), int(data["den"])), int(data["pi_exp"]))
+        """Inverse of to_json_dict; each field must be a JSON integer.
+
+        A float, string or boolean is rejected with TypeError rather than
+        coerced, since int() would silently truncate 1.5 to 1.
+        """
+        num, den, pi_exp = data["num"], data["den"], data["pi_exp"]
+        for value in (num, den, pi_exp):
+            if type(value) is not int:
+                raise TypeError(f"num, den and pi_exp must be integers, got {value!r}")
+        return cls(Fraction(num, den), pi_exp)
 
     def render(self, ascii_pi: bool = False) -> str:
         """Canonical text form: "a/b", "a/b·π", "a/(b·π)" (or "pi"/"*" in ASCII mode)."""

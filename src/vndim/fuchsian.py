@@ -32,14 +32,9 @@ from .errors import (
     NonPositiveWeight,
     OddWeight,
     ParityViolation,
-    ScanCapExceeded,
     UnknownGroup,
 )
 from .exact import PiRational
-
-#: Safety cap for the minimal-weight scan; unreachable for valid signatures
-#: (the dimension formula grows without bound in the weight).
-DEFAULT_SCAN_CAP = 10**6
 
 
 class GroupMode(enum.Enum):
@@ -183,31 +178,28 @@ def vn_dimension(
 def minimal_discrete_series_weight(
     sig: FuchsianSignature,
     mode: GroupMode = GroupMode.PSL2R,
-    cap: int = DEFAULT_SCAN_CAP,
 ) -> int:
     """Smallest parameter m with discrete_series_multiplicity >= 1, by linear scan.
 
     Only odd m are scanned in either mode: even parameters would need
     odd-weight cusp-form dimensions, which are out of reach of the dimension
-    formula.  Termination is guaranteed (the weight->dimension formula grows
-    without bound); the cap is a defensive guard only.
+    formula.  The signature bounds the scan.  Each elliptic term obeys
+    floor((k/2)(1 - 1/e)) >= (k/2 - 1)(1 - 1/e), so with A = area_factor() and
+    k = m + 1, dim S_k >= (k/2 - 1)A + g - 1, which is positive once
+    (m - 1)/2 > (1 - g)/A.  As A >= 1/42, the scan ends by m = 87 for genus 0
+    and by m = 3 otherwise.
     """
-    m = 1
-    while m <= cap:
+    bound = 2 * ((1 - sig.genus) // sig.area_factor()) + 3
+    for m in range(1, bound + 1, 2):
         if discrete_series_multiplicity(sig, m, GroupMode.PSL2R) >= 1:
             return m
-        m += 2
-    raise ScanCapExceeded(
-        f"no discrete series found for {sig} with parameter <= {cap}; "
-        "raise the cap (VNDIM_SCAN_CAP) if the signature is genuinely this sparse"
-    )
+    raise AssertionError(f"no discrete series for {sig} with parameter <= {bound}")
 
 
 def two_lattice_vn_dimension(
     sig1: FuchsianSignature,
     sig2: FuchsianSignature,
     m: int,
-    cap: int = DEFAULT_SCAN_CAP,
 ) -> Fraction:
     """Dimension of the second lattice's algebra acting on the discrete series
     realized inside the automorphic spectrum of the first.
@@ -219,7 +211,7 @@ def two_lattice_vn_dimension(
     """
     _check_parameter(m, GroupMode.PSL2R)
     if discrete_series_multiplicity(sig1, m) < 1:
-        minimal = minimal_discrete_series_weight(sig1, cap=cap)
+        minimal = minimal_discrete_series_weight(sig1)
         raise NoOccurrence(
             f"discrete series with parameter {m} does not occur for {sig1} "
             f"(dim S_{m + 1} = 0); smallest occurring parameter is {minimal}",

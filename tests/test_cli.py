@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vndim.cli import main
+from vndim.cli import OPERATIONS, main
 from vndim.exact import PiRational, parse_pi_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -213,16 +213,38 @@ def test_nu_keywords(capsys):
     assert sign_out == "4\n"
 
 
-def test_scan_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("VNDIM_SCAN_CAP", "3")
-    code, _, err = run_cli(capsys, "fuchsian", "minweight", "--sig", "0;2,3;1")
-    assert code == 2
-    assert "ScanCapExceeded" in err
-    monkeypatch.setenv("VNDIM_SCAN_CAP", "1000")
-    code, out, _ = run_cli(capsys, "fuchsian", "minweight", "--sig", "0;2,3;1")
-    assert code == 0 and out == "11\n"
-
-
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "fuchsian", "--help")[0] == 0
+    for op in OPERATIONS:  # each group, then each of its verbs
+        argv = [op.group] if op.verb is None else [op.group, op.verb]
+        assert run_cli(capsys, *argv, "--help")[0] == 0, argv
+
+
+def test_readme_verb_table_matches_registry():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("Groups and verbs", 1)[1].split("\n\n")[1]  # the paragraph after
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    listed = [(group.strip("`"), [v.strip("`") for v in verbs.split(", ")])
+              for group, verbs in rows[2:]]
+    registry = {}
+    for op in OPERATIONS:
+        if op.verb is not None:
+            registry.setdefault(op.group, []).append(op.verb)
+        elif op.params:  # `table` lists its table names instead of verbs
+            registry[op.group] = op.params[0].options["help"].split(" | ")
+    assert listed == list(registry.items())
+
+
+@pytest.mark.parametrize("blob", [
+    '{"num": 1.5, "den": 2, "pi_exp": 0}',
+    '{"num": 1, "den": 2.5, "pi_exp": 0}',
+    '{"num": 1, "den": 2, "pi_exp": 0.7}',
+    '{"num": true, "den": 2, "pi_exp": 0}',
+    '{"num": "7", "den": 2, "pi_exp": 0}',
+])
+def test_malformed_json_scalar_is_domain_error(capsys, blob):
+    code, out, err = run_cli(capsys, "exact", "mul", "--a", blob, "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert "cannot parse exact scalar" in err

@@ -241,6 +241,41 @@ def test_minimal_weight_consistency_random():
             assert discrete_series_multiplicity(sig, earlier) == 0
 
 
+def _scan_bound_holds(sig):
+    """Check the bound on the minimal-weight scan for one signature; return the weight.
+
+    The scan relies on dim S_{m+1} >= ((m-1)/2)A + g - 1 (A the area factor),
+    hence on a hit by m = 87 for genus 0 and by m = 3 otherwise.  Here the
+    weight is found by an unbounded scan of cusp_form_dim.
+    """
+    area, genus = sig.area_factor(), sig.genus
+    m = 1
+    while True:
+        dim = cusp_form_dim(sig, m + 1)
+        assert dim >= Fraction(m - 1, 2) * area + genus - 1, (sig, m)
+        if dim:
+            break
+        m += 2
+    assert m <= (87 if genus == 0 else 3), sig
+    assert minimal_discrete_series_weight(sig) == m
+    return m
+
+
+def test_minimal_weight_scan_bound():
+    worst = {}
+    for a in range(2, 40):
+        for b in range(a, 40):
+            for c in range(b, 40):
+                if b * c + a * c + a * b < a * b * c:  # 1/a + 1/b + 1/c < 1
+                    sig = FuchsianSignature(0, (a, b, c), 0)
+                    worst.setdefault(_scan_bound_holds(sig), str(sig))
+    assert max(worst) == 11 and worst[11] == "0;2,3,7;0"
+    assert minimal_discrete_series_weight(parse_signature("0;2,3,7;0")) == 11
+    rng = random.Random(1811)
+    for _ in range(300):
+        assert _scan_bound_holds(random_signature(rng)) <= 11
+
+
 # -- two lattices ------------------------------------------------------------------------
 
 
