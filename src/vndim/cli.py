@@ -89,86 +89,56 @@ def _parse_jl_class(text: str) -> padic.JLClass:
 # -- output rendering ----------------------------------------------------------
 
 
-def _cell_text(value, ascii_pi: bool) -> str:
-    if isinstance(value, PiRational):
-        return value.render(ascii_pi)
+def _cell(value, fmt: str, ascii_pi: bool):
+    """One value as a text cell, or as a JSON value when ``fmt`` is "json"."""
     if isinstance(value, Fraction):
-        return PiRational(value).render(ascii_pi)
+        value = PiRational(value)
+    if isinstance(value, PiRational):
+        return value.to_json_dict() if fmt == "json" else value.render(ascii_pi)
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"  # the valuation of zero
+    if fmt == "json":
+        return value if isinstance(value, (bool, int, str)) else str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return str(value)
-
-
-def _cell_json(value):
-    if isinstance(value, PiRational):
-        return value.to_json_dict()
-    if isinstance(value, Fraction):
-        return PiRational(value).to_json_dict()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, (bool, int, str)):
-        return value
-    return str(value)
-
-
-def _render_table_text(table: Table, ascii_pi: bool) -> str:
-    header = [str(c) for c in table.columns]
-    body = [[_cell_text(cell, ascii_pi) for cell in row] for row in table.rows]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(columns, rows, ascii_pi: bool) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_text(cell, ascii_pi) for cell in row])
-    return out.getvalue()
 
 
 def render_result(result, fmt: str, ascii_pi: bool) -> str:
     """Turn a handler result (scalar, record dict, word list, or Table) into text."""
     if is_dataclass(result) and not isinstance(result, Table):
         result = asdict(result)
+    # One grid for every shape: a record is one row of its sorted fields, and a word
+    # list or a scalar is a one-column "value" table.
     if isinstance(result, Table):
-        if fmt == "json":
-            payload = {
-                "name": result.name,
-                "columns": list(result.columns),
-                "rows": [[_cell_json(c) for c in row] for row in result.rows],
-            }
-            return json.dumps(payload, sort_keys=True) + "\n"
-        if fmt == "csv":
-            return _render_csv(result.columns, result.rows, ascii_pi)
-        return _render_table_text(result, ascii_pi)
-    if isinstance(result, dict):
-        items = sorted(result.items())
-        if fmt == "json":
-            return json.dumps({k: _cell_json(v) for k, v in items}, sort_keys=True) + "\n"
-        if fmt == "csv":
-            return _render_csv([k for k, _ in items], [[v for _, v in items]], ascii_pi)
-        return "".join(f"{k}={_cell_text(v, ascii_pi)}\n" for k, v in items)
-    if isinstance(result, list):
-        if fmt == "json":
-            return json.dumps([_cell_json(v) for v in result], sort_keys=True) + "\n"
-        if fmt == "csv":
-            return _render_csv(["value"], [[v] for v in result], ascii_pi)
-        return "".join(_cell_text(v, ascii_pi) + "\n" for v in result)
-    # scalar
-    if fmt == "json":
-        return json.dumps(_cell_json(result), sort_keys=True) + "\n"
+        columns, rows = list(result.columns), result.rows
+    elif isinstance(result, dict):
+        columns = sorted(result)
+        rows = [[result[key] for key in columns]]
+    else:
+        columns = ["value"]
+        rows = [[value] for value in result] if isinstance(result, list) else [[result]]
+    cells = [[_cell(value, fmt, ascii_pi) for value in row] for row in rows]
     if fmt == "csv":
-        return _render_csv(["value"], [[result]], ascii_pi)
-    return _cell_text(result, ascii_pi) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([columns] + cells)
+        return out.getvalue()
+    # JSON keeps a payload of each shape's own, and text a layout of its own.
+    if isinstance(result, Table):
+        payload = {"name": result.name, "columns": columns, "rows": cells}
+        if fmt == "text":  # aligned columns under a header
+            widths = [max(map(len, column)) for column in zip(columns, *cells)]
+            return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                           for row in [columns] + cells)
+    elif isinstance(result, dict):
+        payload = dict(zip(columns, cells[0]))
+        if fmt == "text":
+            return "".join(f"{key}={cell}\n" for key, cell in payload.items())
+    else:
+        payload = [value for value, in cells] if isinstance(result, list) else cells[0][0]
+        if fmt == "text":  # one value per line
+            return "".join(value + "\n" for value, in cells)
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 # -- the operation registry ------------------------------------------------------
@@ -254,10 +224,6 @@ def _lattice(q: int, n: int) -> dict:
     return {"q": lattice.q.q, "rank": lattice.rank, "h": lattice.h}
 
 
-def _weyl(max_length: int) -> list:
-    return [str(word) for word in padic.weyl_enumerate(max_length)]
-
-
 OPERATIONS = (
     Op("exact", None, "exact pi-rational scalar arithmetic"),
     Op("exact", "mul", "exact product of two scalars", operator.mul,
@@ -316,7 +282,8 @@ OPERATIONS = (
        INT("--n", "level of the base character"), INT("--e", "ramification index, 1 or 2")),
     Op("padic", "quadext", "number of quadratic extensions of Q_p",
        padic.quadratic_extension_count, INT("--p")),
-    Op("padic", "weyl", "reduced affine-Weyl words up to a length", _weyl, INT("--max-length")),
+    Op("padic", "weyl", "reduced affine-Weyl words up to a length", padic.weyl_enumerate,
+       INT("--max-length")),
     Op("padic", "weylsum", "partial sum 2*sum q^(-l) over lengths <= L", padic.weyl_partial_sum,
        INT("--q"), INT("--max-length")),
     Op("padic", "weylclosed", "closed form 2(q+1)/(q-1) of the full series",

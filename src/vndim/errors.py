@@ -99,6 +99,10 @@ class LevelOutOfRange(DomainError):
     """Character level below 1."""
 
 
+class NegativeLength(DomainError):
+    """Weyl-word length bound below 0: no word is that short."""
+
+
 class NoSuchLattice(DomainError):
     """No cocompact free lattice of the requested rank exists for this residue field."""
 

@@ -18,9 +18,6 @@ from typing import Union
 
 from .errors import ExponentOverflow, IncomparableExponents
 
-#: Exact rational scalar; alias kept so callers can say "vndim Rational".
-Rational = Fraction
-
 _COEFF = Union[Fraction, int]
 
 
@@ -75,8 +72,10 @@ class PiRational:
 
         Only scalars with equal pi exponent are ordered; mixed exponents would
         need a numeric approximation of pi, which this type refuses to make.
+        Zero is a like term of every exponent (it is stored with exponent 0), and
+        c * pi^e has the sign of c, so a zero on either side orders by coefficient.
         """
-        if self.pi_exp != other.pi_exp:
+        if self.pi_exp != other.pi_exp and self.coeff and other.coeff:
             raise IncomparableExponents(
                 f"cannot order pi^{self.pi_exp} against pi^{other.pi_exp} exactly"
             )
@@ -166,16 +165,6 @@ class PiRational:
 
 #: The constant pi as an exact scalar.
 PI = PiRational(1, 1)
-
-
-def mul(a: PiRational, b: PiRational) -> PiRational:
-    """Exact product; raises ExponentOverflow outside the pi^{-1..1} range."""
-    return a * b
-
-
-def compare(a: PiRational, b: PiRational) -> int:
-    """Order like terms exactly; raises IncomparableExponents otherwise."""
-    return a.compare(b)
 
 
 def parse_pi_rational(text: str) -> PiRational:

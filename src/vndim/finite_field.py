@@ -84,6 +84,14 @@ def as_prime_power(q) -> PrimePower:
     return q if isinstance(q, PrimePower) else PrimePower.from_int(q)
 
 
+def _enumerable(q) -> PrimePower:
+    """q as a PrimePower, refused with TooLarge past the brute-force guard."""
+    pp = as_prime_power(q)
+    if pp.q > ENUMERATION_GUARD:
+        raise TooLarge(f"q={pp.q} exceeds enumeration guard {ENUMERATION_GUARD}")
+    return pp
+
+
 # -- explicit field model ----------------------------------------------------
 
 
@@ -215,15 +223,13 @@ class EnumeratedOrders:
     counted_borel: int
 
 
-def enumerate_gl2(q, max_q: int = ENUMERATION_GUARD) -> EnumeratedOrders:
+def enumerate_gl2(q) -> EnumeratedOrders:
     """Count invertible 2x2 matrices (and upper-triangular ones) by exhaustive scan.
 
     Independent oracle for group_orders: no formula, just q^4 determinant tests
     in the explicit field model.
     """
-    pp = as_prime_power(q)
-    if pp.q > max_q:
-        raise TooLarge(f"q={pp.q} exceeds enumeration guard {max_q}")
+    pp = _enumerable(q)
     field = field_model(pp)
     elems = list(field.elements())
     total = 0
@@ -278,11 +284,9 @@ def count_regular_characters(q, nu: int) -> int:
     return n - 1 if (b * (n - 1) // 2) % (n - 1) == 0 else n + 1
 
 
-def brute_force_regular_characters(q, nu: int, max_q: int = ENUMERATION_GUARD) -> int:
+def brute_force_regular_characters(q, nu: int) -> int:
     """Oracle for count_regular_characters: enumerate all q^2 - 1 indices."""
-    pp = as_prime_power(q)
-    if pp.q > max_q:
-        raise TooLarge(f"q={pp.q} exceeds enumeration guard {max_q}")
+    pp = _enumerable(q)
     n = pp.q
     return sum(
         1
@@ -301,13 +305,11 @@ class NormTraceFacts:
     norm_kernel_size: int
 
 
-def norm_trace_facts(q, max_q: int = ENUMERATION_GUARD) -> NormTraceFacts:
+def norm_trace_facts(q) -> NormTraceFacts:
     """Verify by enumeration over an explicit F_{q^2} that the norm x -> x^(q+1)
     surjects onto F_q^x, the trace x -> x + x^q surjects onto F_q, and the norm
     kernel has exactly q + 1 elements."""
-    pp = as_prime_power(q)
-    if pp.q > max_q:
-        raise TooLarge(f"q={pp.q} exceeds enumeration guard {max_q}")
+    pp = _enumerable(q)
     n = pp.q
     big = _QuadraticExtension(field_model(pp))
     norm_image = set()
@@ -331,11 +333,9 @@ def norm_trace_facts(q, max_q: int = ENUMERATION_GUARD) -> NormTraceFacts:
     )
 
 
-def hilbert90_count(q, max_q: int = ENUMERATION_GUARD) -> int:
+def hilbert90_count(q) -> int:
     """Count the distinct x * conj(x)^-1 over x in F_{q^2}^x (all norm-1 elements)."""
-    pp = as_prime_power(q)
-    if pp.q > max_q:
-        raise TooLarge(f"q={pp.q} exceeds enumeration guard {max_q}")
+    pp = _enumerable(q)
     big = _QuadraticExtension(field_model(pp))
     quotients = set()
     for x in big.elements():

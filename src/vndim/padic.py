@@ -34,6 +34,7 @@ from .errors import (
     BadRamification,
     EvenResidue,
     LevelOutOfRange,
+    NegativeLength,
     NoSuchLattice,
     NotPrime,
     OddRamifiedConductor,
@@ -142,8 +143,14 @@ class ReducedWeylWord:
         return "".join(self.letters) or "1"
 
 
+def _check_length(max_length: int) -> None:
+    if max_length < 0:
+        raise NegativeLength(f"word length bound must be >= 0, got {max_length}")
+
+
 def weyl_enumerate(max_length: int) -> list:
     """All reduced words of length <= max_length: the identity, then two per length."""
+    _check_length(max_length)
     words = [ReducedWeylWord(())]
     for k in range(1, max_length + 1):
         for first in _LETTERS:
@@ -167,6 +174,7 @@ def weyl_partial_sum(q, max_length: int) -> Fraction:
     of the distinguished Steinberg matrix coefficient is its limit.
     """
     n = as_prime_power(q).q
+    _check_length(max_length)
     return 2 * (1 + 2 * sum(Fraction(1, n**k) for k in range(1, max_length + 1)))
 
 

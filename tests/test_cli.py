@@ -248,3 +248,93 @@ def test_malformed_json_scalar_is_domain_error(capsys, blob):
     assert code == 2
     assert out == ""
     assert "cannot parse exact scalar" in err
+
+
+# -- rendered bytes of every result shape ---------------------------------------------------
+
+FREE_CONGRUENCE_ROWS = [("Gamma0(4)", "0;-;3", 2, 2), ("Gamma0(4)capGamma(2)", "0;-;4", 3, 4),
+                        ("Gamma(4)", "0;-;6", 5, 8)]
+PADIC_5_2_COLUMNS = ["n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal"]
+
+RENDERED = [
+    # scalar
+    (["fuchsian", "covolume", "--sig", "0;2,3;1"], "1/3·π\n"),
+    (["fuchsian", "covolume", "--sig", "0;2,3;1", "--ascii"], "1/3*pi\n"),
+    (["fuchsian", "covolume", "--sig", "0;2,3;1", "--format", "json"],
+     '{"den": 3, "num": 1, "pi_exp": 1}\n'),
+    (["fuchsian", "covolume", "--sig", "0;2,3;1", "--format", "csv"], "value\n1/3·π\n"),
+    (["fuchsian", "covolume", "--sig", "0;2,3;1", "--format", "csv", "--ascii"],
+     "value\n1/3*pi\n"),
+    # record
+    (["padic", "valuation", "--r", "7/25", "--p", "5"], "abs=25\nvaluation=-2\n"),
+    (["padic", "valuation", "--r", "7/25", "--p", "5", "--format", "json"],
+     '{"abs": {"den": 1, "num": 25, "pi_exp": 0}, "valuation": -2}\n'),
+    (["padic", "valuation", "--r", "7/25", "--p", "5", "--format", "csv"],
+     "abs,valuation\n25,-2\n"),
+    (["fuchsian", "catalog", "--name", "H3"], "covolume=1/3·π\nsignature=0;2,3;1\n"),
+    (["fuchsian", "catalog", "--name", "H3", "--format", "json"],
+     '{"covolume": {"den": 3, "num": 1, "pi_exp": 1}, "signature": "0;2,3;1"}\n'),
+    (["fuchsian", "catalog", "--name", "H3", "--format", "csv", "--ascii"],
+     'covolume,signature\n1/3*pi,"0;2,3;1"\n'),
+    # boolean
+    (["ff", "isregular", "--q", "3", "--a", "1"], "true\n"),
+    (["ff", "isregular", "--q", "3", "--a", "4"], "false\n"),
+    (["ff", "isregular", "--q", "3", "--a", "1", "--format", "json"], "true\n"),
+    (["ff", "isregular", "--q", "3", "--a", "1", "--format", "csv"], "value\ntrue\n"),
+    # word list
+    (["padic", "weyl", "--max-length", "2"], "1\nw\nw'\nww'\nw'w\n"),
+    (["padic", "weyl", "--max-length", "2", "--format", "json"],
+     '["1", "w", "w\'", "ww\'", "w\'w"]\n'),
+    (["padic", "weyl", "--max-length", "2", "--format", "csv"], "value\n1\nw\nw'\nww'\nw'w\n"),
+    # non-empty table
+    (["table", "free-congruence"],
+     "group                 signature  free_rank  covolume\n"
+     + "".join(f"{g:<20}  {s}      {r}          {c}·π\n" for g, s, r, c in FREE_CONGRUENCE_ROWS)),
+    (["table", "free-congruence", "--ascii"],
+     "group                 signature  free_rank  covolume\n"
+     + "".join(f"{g:<20}  {s}      {r}          {c}*pi\n" for g, s, r, c in FREE_CONGRUENCE_ROWS)),
+    (["table", "free-congruence", "--format", "json"],
+     '{"columns": ["group", "signature", "free_rank", "covolume"], "name": "free-congruence", '
+     '"rows": [["Gamma0(4)", "0;-;3", 2, {"den": 1, "num": 2, "pi_exp": 1}], '
+     '["Gamma0(4)capGamma(2)", "0;-;4", 3, {"den": 1, "num": 4, "pi_exp": 1}], '
+     '["Gamma(4)", "0;-;6", 5, {"den": 1, "num": 8, "pi_exp": 1}]]}\n'),
+    (["table", "free-congruence", "--format", "csv", "--ascii"],
+     "group,signature,free_rank,covolume\n"
+     + "".join(f"{g},{s},{r},{c}*pi\n" for g, s, r, c in FREE_CONGRUENCE_ROWS)),
+    # empty table
+    (["table", "padic:5:2"], "  ".join(PADIC_5_2_COLUMNS) + "\n"),
+    (["table", "padic:5:2", "--format", "json"],
+     '{"columns": ' + json.dumps(PADIC_5_2_COLUMNS) + ', "name": "padic:5:2", "rows": []}\n'),
+    (["table", "padic:5:2", "--format", "csv"], ",".join(PADIC_5_2_COLUMNS) + "\n"),
+    # infinite valuation
+    (["padic", "valuation", "--r", "0", "--p", "5"], "abs=0\nvaluation=inf\n"),
+    (["padic", "valuation", "--r", "0", "--p", "5", "--format", "json"],
+     '{"abs": {"den": 1, "num": 0, "pi_exp": 0}, "valuation": "inf"}\n'),
+    (["padic", "valuation", "--r", "0", "--p", "5", "--format", "csv"], "abs,valuation\n0,inf\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", RENDERED, ids=[" ".join(a) for a, _ in RENDERED])
+def test_rendered_bytes_of_each_result_shape(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["padic", "weyl", "--max-length", "-1"],
+    ["padic", "weylsum", "--q", "3", "--max-length", "-2"],
+])
+def test_negative_weyl_length_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "NegativeLength" in err
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    ("0", "pi", "less"),
+    ("0", "-1/pi", "greater"),
+    ("pi", "0", "greater"),
+    ("0*pi", "0", "equal"),
+])
+def test_zero_compares_against_pi_multiples(capsys, a, b, expected):
+    assert run_cli(capsys, "exact", "compare", f"--a={a}", f"--b={b}") == (0, expected + "\n", "")

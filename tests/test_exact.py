@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from vndim.errors import ExponentOverflow, IncomparableExponents
-from vndim.exact import PI, PiRational, compare, mul, parse_pi_rational
+from vndim.exact import PI, PiRational, parse_pi_rational
 
 
 def test_mul_cancels_pi_factors():
     # (5/(4 pi)) * (2 pi) = 5/2
     d = PiRational(Fraction(5, 4), -1)
     vol = PiRational(2, 1)
-    assert mul(d, vol) == PiRational(Fraction(5, 2), 0)
+    assert d * vol == PiRational(Fraction(5, 2), 0)
 
 
 def test_mul_identity():
@@ -31,9 +31,9 @@ def test_mul_hand_checked_product():
 
 def test_mul_exponent_overflow():
     with pytest.raises(ExponentOverflow):
-        mul(PI, PI)
+        PI * PI
     with pytest.raises(ExponentOverflow):
-        mul(PI.inverse(), PI.inverse())
+        PI.inverse() * PI.inverse()
 
 
 def test_mul_commutative_associative_samples():
@@ -52,16 +52,32 @@ def test_zero_is_canonical():
 
 
 def test_compare_like_terms():
-    assert compare(PiRational(2, 1), PiRational(4, 1)) == -1
-    assert compare(PiRational(Fraction(1, 4)), PiRational(Fraction(1, 4))) == 0
+    assert PiRational(2, 1).compare(PiRational(4, 1)) == -1
+    assert PiRational(Fraction(1, 4)).compare(PiRational(Fraction(1, 4))) == 0
     assert PiRational(4, 1) > PiRational(2, 1)
 
 
 def test_compare_mixed_exponents_rejected():
     with pytest.raises(IncomparableExponents):
-        compare(PI, PiRational(2))
+        PI.compare(PiRational(2))
     # equality stays total even across exponents
     assert PI != PiRational(2)
+
+
+def test_compare_zero_against_pi_multiples():
+    # zero is stored with exponent 0 but is a like term of every exponent
+    assert PiRational(0).compare(PI) == -1
+    assert PiRational(0).compare(PiRational(-1, -1)) == 1
+    assert PI.compare(PiRational(0)) == 1
+    assert PiRational(0, 1).compare(PiRational(0, -1)) == 0
+    assert PiRational(0) < PiRational(Fraction(1, 3), 1)
+
+
+def test_compare_nonzero_unlike_terms_rejected_whatever_their_signs():
+    for a, b in [(PI, PiRational(-2)), (PiRational(-1, -1), PiRational(3)),
+                 (PiRational(5), PiRational(-1, 1))]:
+        with pytest.raises(IncomparableExponents):
+            a.compare(b)
 
 
 def test_invalid_exponent_rejected():

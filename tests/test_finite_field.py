@@ -140,3 +140,17 @@ def test_finite_rep_dims():
     for q in SMALL_Q:
         d = finite_rep_dims(q)
         assert d.principal_series_dim == d.steinberg_dim + 1
+
+
+def test_every_enumeration_refuses_past_the_guard():
+    from vndim.finite_field import hilbert90_count
+
+    enumerations = [enumerate_gl2, norm_trace_facts, hilbert90_count,
+                    lambda q: brute_force_regular_characters(q, 1)]
+    for enumerate_ in enumerations:
+        enumerate_(PrimePower(3, 2))  # q = 9 is the largest allowed
+        for q in (11, PrimePower(11, 1), 27):
+            with pytest.raises(TooLarge, match=r"^q=(11|27) exceeds enumeration guard 9$"):
+                enumerate_(q)
+        with pytest.raises(NotPrimePower):  # q is validated before the guard
+            enumerate_(15)

@@ -340,3 +340,16 @@ def test_jl_class_parsing():
 
 def test_infinite_valuation_constant_is_float_inf():
     assert math.isinf(INFINITE_VALUATION)
+
+
+def test_negative_weyl_length_is_refused():
+    from vndim.errors import DomainError, NegativeLength
+
+    assert issubclass(NegativeLength, DomainError)
+    for max_length in (-1, -2, -50):
+        with pytest.raises(NegativeLength):
+            weyl_enumerate(max_length)
+        with pytest.raises(NegativeLength):
+            weyl_length_histogram(max_length)
+        with pytest.raises(NegativeLength):
+            weyl_partial_sum(3, max_length)
