@@ -20,24 +20,30 @@ Standing hypothesis throughout: q is a power of an odd prime.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from .errors import EvenResidue, NotPrimePower, TooLarge
 
-#: Brute-force guard: enumerations scan q^4 matrices or q^2 field elements.
+#: Brute-force guard: enumerations scan q^2 field elements or pairs of them.
 ENUMERATION_GUARD = 9
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _least_factor(n: int) -> int:
+    """The least divisor d >= 2 of n >= 2, by trial division: n itself when n is prime."""
+    if n % 2 == 0:
+        return 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 1
-    return True
+            return d
+        d += 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,7 @@ class PrimePower:
             raise EvenResidue(f"residue-field order must be odd, got {q}")
         if q < 3:
             raise NotPrimePower(f"{q} is not an odd prime power")
-        p = 3
-        while q % p != 0:
-            p += 2
-            if p * p > q:
-                p = q
+        p = _least_factor(q)
         f = 0
         rest = q
         while rest % p == 0:
@@ -224,26 +226,22 @@ class EnumeratedOrders:
 
 
 def enumerate_gl2(q) -> EnumeratedOrders:
-    """Count invertible 2x2 matrices (and upper-triangular ones) by exhaustive scan.
+    """Count invertible 2x2 matrices (and upper-triangular ones) by enumeration.
 
-    Independent oracle for group_orders: no formula, just q^4 determinant tests
-    in the explicit field model.
+    Independent oracle for group_orders: no formula, just the q^2 products ad
+    in the explicit field model.  With N(v) = #{(a, d) : ad = v}, the matrix
+    [[a, b], [c, d]] is singular exactly when ad = bc, so sum_v N(v)^2 of the
+    q^4 matrices are singular; an upper-triangular one is invertible exactly
+    when ad != 0, whatever b is.
     """
-    pp = _enumerable(q)
-    field = field_model(pp)
+    field = field_model(_enumerable(q))
     elems = list(field.elements())
-    total = 0
-    upper = 0
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    det = field.add(field.mul(a, d), field.neg(field.mul(b, c)))
-                    if det != field.zero:
-                        total += 1
-                        if c == field.zero:
-                            upper += 1
-    return EnumeratedOrders(counted_order=total, counted_borel=upper)
+    products = Counter(field.mul(a, d) for a in elems for d in elems)
+    pairs = len(elems) ** 2
+    return EnumeratedOrders(
+        counted_order=pairs**2 - sum(count * count for count in products.values()),
+        counted_borel=len(elems) * (pairs - products[field.zero]),
+    )
 
 
 # -- characters of F_{q^2}^x --------------------------------------------------

@@ -297,11 +297,12 @@ def vn_dimension_padic(q, n: int, rep: PadicRep, norm: HaarNormalization) -> Fra
     The measure dependence cancels, leaving n-1 for Steinberg and 2(n-1) for
     the depth-zero cuspidal representation under every normalization.
     """
+    pp = as_prime_power(q)
     if rep is PadicRep.STEINBERG:
-        d = steinberg_formal_dim(q, norm)
+        d = steinberg_formal_dim(pp, norm)
     else:
-        d = depth_zero_formal_dim(q, norm)
-    return d * lattice_covolume(q, n, norm)
+        d = depth_zero_formal_dim(pp, norm)
+    return d * lattice_covolume(pp, n, norm)
 
 
 # -- Jacquet-Langlands table -----------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoSuchLattice, UnknownTable
+from .finite_field import as_prime_power
 from .fuchsian import FREE_CONGRUENCE_CHAIN, catalog, covolume, vn_dimension
 from .padic import (
     HaarNormalization,
@@ -62,20 +63,21 @@ def vn_free_table(m: int) -> Table:
 def padic_table(q: int, n_max: int) -> Table:
     """Free lattices in PGL(2,F) up to rank n_max with covolumes (K=1) and the
     von Neumann dimensions of the two computable square-integrable series."""
+    pp = as_prime_power(q)
     rows = []
     for n in range(2, n_max + 1):
         try:
-            lattice = ihara_lattice(q, n)
+            lattice = ihara_lattice(pp, n)
         except NoSuchLattice:
             continue
         rows.append(
             (
                 n,
                 lattice.h,
-                lattice_covolume(q, n, HaarNormalization.K_ONE),
-                vn_dimension_padic(q, n, PadicRep.STEINBERG, HaarNormalization.K_ONE),
+                lattice_covolume(pp, n, HaarNormalization.K_ONE),
+                vn_dimension_padic(pp, n, PadicRep.STEINBERG, HaarNormalization.K_ONE),
                 vn_dimension_padic(
-                    q, n, PadicRep.DEPTH_ZERO_CUSPIDAL, HaarNormalization.K_ONE
+                    pp, n, PadicRep.DEPTH_ZERO_CUSPIDAL, HaarNormalization.K_ONE
                 ),
             )
         )

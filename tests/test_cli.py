@@ -338,3 +338,27 @@ def test_negative_weyl_length_exits_two(capsys, argv):
 ])
 def test_zero_compares_against_pi_multiples(capsys, a, b, expected):
     assert run_cli(capsys, "exact", "compare", f"--a={a}", f"--b={b}") == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ([], "usage: vndim [-h] GROUP ...\n"
+         "vndim: error: the following arguments are required: GROUP\n"),
+    (["ff"], "usage: vndim ff [-h] VERB ...\n"
+             "vndim ff: error: the following arguments are required: VERB\n"),
+    (["ff", "orders", "--q", "x"],
+     "usage: vndim ff orders [-h] [--format {text,json,csv}] [--ascii] --q Q\n"
+     "vndim ff orders: error: argument --q: invalid int value: 'x'\n"),
+])
+def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (1, "", expected)
+
+
+@pytest.mark.parametrize("q,n,error", [
+    ("4", "1", "EvenResidue"), ("15", "1", "NotPrimePower"), ("1", "0", "NotPrimePower"),
+])
+def test_padic_table_refuses_a_bad_q_with_no_rank_to_tabulate(capsys, q, n, error):
+    code, out, err = run_cli(capsys, "table", f"padic:{q}:{n}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}: ")
+    assert (code, out, err) == run_cli(capsys, "table", f"padic:{q}:2")

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from vndim.cli import main
 from vndim.errors import EvenResidue, NotPrimePower, TooLarge
 from vndim.finite_field import (
     PrimePower,
@@ -11,10 +14,13 @@ from vndim.finite_field import (
     finite_rep_dims,
     group_orders,
     hilbert90_count,
+    is_prime,
     is_regular,
     norm_trace_facts,
     restricts_to,
 )
+from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
+from vndim.tables import build_table
 
 SMALL_Q = (3, 5, 7, 9)
 
@@ -154,3 +160,84 @@ def test_every_enumeration_refuses_past_the_guard():
                 enumerate_(q)
         with pytest.raises(NotPrimePower):  # q is validated before the guard
             enumerate_(15)
+
+
+# -- reference oracles --------------------------------------------------------------
+
+ORACLE_LIMIT = 10**4
+
+
+def sieve_primes(limit):
+    """The primes below limit, by the sieve of Eratosthenes (no trial division)."""
+    composite = bytearray(limit)
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            composite[n * n::n] = b"\x01" * len(range(n * n, limit, n))
+    return primes
+
+
+def test_is_prime_matches_a_sieve():
+    primes = set(sieve_primes(ORACLE_LIMIT))
+    assert len(primes) == 1229
+    for n in range(-3, ORACLE_LIMIT):
+        assert is_prime(n) == (n in primes), n
+
+
+def test_prime_power_parsing_matches_a_sieve():
+    odd_prime_powers = {}
+    for p in sieve_primes(ORACLE_LIMIT)[1:]:
+        f = 1
+        while p**f < ORACLE_LIMIT:
+            odd_prime_powers[p**f] = PrimePower(p, f)
+            f += 1
+    for n in range(ORACLE_LIMIT):
+        if n % 2 == 0:  # 0, 2 and every even n: even before anything else
+            with pytest.raises(EvenResidue):
+                PrimePower.from_int(n)
+        elif n in odd_prime_powers:
+            assert PrimePower.from_int(n) == odd_prime_powers[n]
+        else:  # 1 and the odd composites with two distinct prime factors
+            with pytest.raises(NotPrimePower):
+                PrimePower.from_int(n)
+
+
+def scan_gl2(q):
+    """The q^4 scan: test the determinant of every matrix over the explicit field model."""
+    field = field_model(q)
+    total = upper = 0
+    for a, b, c, d in product(list(field.elements()), repeat=4):
+        if field.add(field.mul(a, d), field.neg(field.mul(b, c))) != field.zero:
+            total += 1
+            upper += c == field.zero
+    return total, upper
+
+
+def test_enumeration_matches_the_full_matrix_scan():
+    for q in SMALL_Q:
+        counted = enumerate_gl2(q)
+        assert (counted.counted_order, counted.counted_borel) == scan_gl2(q)
+
+
+# -- each q is validated once per call ------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: vn_dimension_padic(9, 5, PadicRep.STEINBERG, HaarNormalization.K_ONE),
+    lambda: vn_dimension_padic(9, 5, PadicRep.DEPTH_ZERO_CUSPIDAL, HaarNormalization.K_ONE),
+    lambda: main(["ff", "countregular", "--q", "9", "--nu", "sign"]),
+    lambda: build_table("padic:3:6"),
+], ids=["vn_dimension_padic-steinberg", "vn_dimension_padic-cuspidal",
+        "cli-countregular-sign", "build_table-padic"])
+def test_q_is_validated_once(monkeypatch, capsys, call):
+    calls = []
+    from_int = PrimePower.from_int.__func__
+
+    def counting(cls, q):
+        calls.append(q)
+        return from_int(cls, q)
+
+    monkeypatch.setattr(PrimePower, "from_int", classmethod(counting))
+    call()
+    assert len(calls) == 1, calls
