@@ -208,7 +208,8 @@ def _catalog(name: str) -> dict:
 
 
 def _valuation(r: Fraction, p: int) -> dict:
-    return {"valuation": padic.padic_valuation(r, p), "abs": padic.padic_abs(r, p)}
+    v = padic.padic_valuation(r, p)  # tests p once for both entries
+    return {"valuation": v, "abs": padic._abs_from_valuation(v, p)}
 
 
 def _lattice(q: int, n: int) -> dict:

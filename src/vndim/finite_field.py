@@ -20,6 +20,7 @@ Standing hypothesis throughout: q is a power of an odd prime.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -29,21 +30,126 @@ from .errors import EvenResidue, NotPrimePower, TooLarge
 #: Brute-force guard: enumerations scan q^2 field elements or pairs of them.
 ENUMERATION_GUARD = 9
 
+#: The primes up to 41: trial divisors, then the Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-def _least_factor(n: int) -> int:
-    """The least divisor d >= 2 of n >= 2, by trial division: n itself when n is prime."""
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+#: The least strong pseudoprime to all 13 bases in _SMALL_PRIMES (Sorenson and
+#: Webster 2015): below it, Miller-Rabin with those bases is exact.
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Whether odd n, larger than every base, passes the strong (Miller-Rabin)
+    test to each base b: with n - 1 = d 2^s and d odd, b^d = 1 or
+    b^(d 2^r) = -1 for some r < s (mod n)."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for base in bases:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 41 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = d 2^s, n passes when U_d = 0 or
+    V_(d 2^r) = 0 for some r < s (mod n).
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(D, n) > 1 and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_factor(n) == n
+    """Whether n is prime, in O(log^3 n) bit operations.
+
+    Trial division by the primes up to 41 settles those primes and every n
+    below 41^2.  Below 3 317 044 064 679 887 385 961 981, strong Miller-Rabin
+    tests to the same 13 bases are proven exact (Sorenson and Webster 2015).
+    Above it, the Baillie-PSW test (Pomerance, Selfridge and Wagstaff 1980)
+    decides: a strong test to base 2 and a strong Lucas test.  No composite is
+    known to pass Baillie-PSW, but none has been proven not to exist.
+    """
+    if n <= 41:
+        return n in _SMALL_PRIMES
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return False
+    if n < 41 * 41:
+        return True
+    if n < _MILLER_RABIN_BOUND:
+        return _strong_probable_prime(n, _SMALL_PRIMES)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: math.isqrt for k = 2, Newton's method above.
+
+    Newton's method is started from a float estimate raised by 2^-20, far
+    more than its rounding error, so that it descends onto the root.
+    """
+    if k == 2:
+        return math.isqrt(n)
+    e = math.log2(n) / k
+    x = ((int(2 ** (e % 1 + 52) * (1 + 2**-20)) << int(e)) >> 52) + 1
+    while x**k <= n:  # only if the estimate fell short after all
+        x *= 2
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -67,19 +173,37 @@ class PrimePower:
 
     @classmethod
     def from_int(cls, q: int) -> "PrimePower":
+        """q as p^f, testing the primality of p once.
+
+        A prime up to 41 that divides q must be p.  Otherwise every prime
+        factor of q is at least 43: take integer k-th roots while they are
+        exact, down to r with r^f = q and r no perfect power.  Then q is a
+        prime power exactly when r is prime.
+        """
         if q % 2 == 0:
             raise EvenResidue(f"residue-field order must be odd, got {q}")
         if q < 3:
             raise NotPrimePower(f"{q} is not an odd prime power")
-        p = _least_factor(q)
-        f = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            f += 1
-        if rest != 1:
-            raise NotPrimePower(f"{q} is not a prime power")
-        return cls(p, f)
+        for p in _SMALL_PRIMES:
+            if q % p == 0:
+                rest, f = q, 0
+                while rest % p == 0:
+                    rest //= p
+                    f += 1
+                if rest != 1:
+                    raise NotPrimePower(f"{q} is not a prime power")
+                return cls(p, f)
+        p, f, k = q, 1, 2
+        while 43**k <= p:
+            r = _iroot(p, k)
+            if r**k == p:
+                p, f = r, f * k
+            else:
+                k += 1
+        try:
+            return cls(p, f)
+        except NotPrimePower:
+            raise NotPrimePower(f"{q} is not a prime power") from None
 
 
 def as_prime_power(q) -> PrimePower:

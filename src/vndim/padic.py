@@ -53,6 +53,11 @@ def _check_prime(p: int) -> None:
 def padic_valuation(r: Fraction, p: int):
     """Exponent v with r = p^v * (a/b), p dividing neither a nor b; v(0) = +inf."""
     _check_prime(p)
+    return _valuation(r, p)
+
+
+def _valuation(r: Fraction, p: int):
+    """padic_valuation with p already known to be prime."""
     r = Fraction(r)
     if r == 0:
         return INFINITE_VALUATION
@@ -69,7 +74,12 @@ def padic_valuation(r: Fraction, p: int):
 
 def padic_abs(r: Fraction, p: int) -> Fraction:
     """|r|_p = p^(-v(r)) as an exact rational, with |0|_p = 0."""
-    v = padic_valuation(r, p)
+    _check_prime(p)
+    return _abs_from_valuation(_valuation(r, p), p)
+
+
+def _abs_from_valuation(v, p: int) -> Fraction:
+    """p^(-v) as an exact rational, and 0 for v = +inf."""
     if math.isinf(v):
         return Fraction(0)
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
@@ -78,7 +88,11 @@ def padic_abs(r: Fraction, p: int) -> Fraction:
 def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity."""
     _check_prime(p)
-    return padic_abs(Fraction(r) + Fraction(s), p) <= max(padic_abs(r, p), padic_abs(s, p))
+
+    def abs_p(x):
+        return _abs_from_valuation(_valuation(x, p), p)
+
+    return abs_p(Fraction(r) + Fraction(s)) <= max(abs_p(r), abs_p(s))
 
 
 # -- quadratic extension level arithmetic -------------------------------------

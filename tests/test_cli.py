@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -362,3 +363,33 @@ def test_padic_table_refuses_a_bad_q_with_no_rank_to_tabulate(capsys, q, n, erro
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {error}: ")
     assert (code, out, err) == run_cli(capsys, "table", f"padic:{q}:2")
+
+
+# -- a 19-digit prime answers at once -----------------------------------------------
+
+BIG_P = 1000000000000000003
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["ff", "orders", "--q", str(BIG_P)],
+     f"borel_index={BIG_P + 1}\nborel_order={BIG_P * (BIG_P - 1) ** 2}\n"
+     f"gl2_order={(BIG_P**2 - 1) * (BIG_P**2 - BIG_P)}\n"),
+    (["ff", "repdims", "--q", str(BIG_P)],
+     f"cuspidal_dim={BIG_P - 1}\nprincipal_series_dim={BIG_P + 1}\nsteinberg_dim={BIG_P}\n"),
+    (["padic", "quadext", "--p", str(BIG_P)], "3\n"),
+    (["padic", "valuation", "--r", "5", "--p", str(BIG_P)], "abs=1\nvaluation=0\n"),
+], ids=["ff-orders", "ff-repdims", "padic-quadext", "padic-valuation"])
+def test_nineteen_digit_prime_answers_fast(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_composite_with_ten_digit_factors_exits_two(capsys):
+    q = 1000000007 * 1000000009
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ff", "orders", "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: NotPrimePower: {q} is not a prime power\n"

@@ -164,7 +164,7 @@ def test_every_enumeration_refuses_past_the_guard():
 
 # -- reference oracles --------------------------------------------------------------
 
-ORACLE_LIMIT = 10**4
+ORACLE_LIMIT = 10**5
 
 
 def sieve_primes(limit):
@@ -180,7 +180,7 @@ def sieve_primes(limit):
 
 def test_is_prime_matches_a_sieve():
     primes = set(sieve_primes(ORACLE_LIMIT))
-    assert len(primes) == 1229
+    assert len(primes) == 9592
     for n in range(-3, ORACLE_LIMIT):
         assert is_prime(n) == (n in primes), n
 
@@ -201,6 +201,92 @@ def test_prime_power_parsing_matches_a_sieve():
         else:  # 1 and the odd composites with two distinct prime factors
             with pytest.raises(NotPrimePower):
                 PrimePower.from_int(n)
+
+
+MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+#: Composites that fool weaker tests: Carmichael numbers, then strong
+#: pseudoprimes to the prime bases up to 7, up to 31 and up to 37, and last
+#: one to every prime base up to 41, which only the Lucas half of Baillie-PSW
+#: rejects.
+HARD_COMPOSITES = (
+    561, 41041, 825265,
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_is_prime_hard_cases():
+    for n in MERSENNE_PRIMES:
+        assert is_prime(n), n
+    for n in HARD_COMPOSITES:
+        assert not is_prime(n), n
+    # each pseudoprime really is one: n - 1 = d 2^s, and to every base b of its
+    # row b^d = 1 or b^(d 2^r) = -1 for some r < s
+    pseudoprime_bases = {
+        3215031751: (2, 3, 5, 7),
+        3825123056546413051: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
+        318665857834031151167461: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37),
+        3317044064679887385961981: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41),
+    }
+    for n, bases in pseudoprime_bases.items():
+        s = 0
+        while (n - 1) % 2 ** (s + 1) == 0:
+            s += 1
+        d = (n - 1) // 2**s
+        for b in bases:
+            assert pow(b, d, n) == 1 or any(pow(b, d * 2**r, n) == n - 1 for r in range(s)), (n, b)
+
+
+def test_strong_lucas_test_matches_a_sieve():
+    # The Lucas half of Baillie-PSW only runs above 3.3e24 inside is_prime, so
+    # it is checked here on its own: below 10^5 it passes every prime past 41
+    # and exactly the strong Lucas pseudoprimes of OEIS A217255.
+    from vndim.finite_field import _strong_lucas_probable_prime
+
+    primes = set(sieve_primes(ORACLE_LIMIT))
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                    75077, 97439}
+    for n in range(43, ORACLE_LIMIT, 2):
+        assert _strong_lucas_probable_prime(n) == (n in primes or n in pseudoprimes), n
+
+
+def test_prime_power_parsing_hard_cases():
+    for p, f in ((10**6 + 3, 3), (2**61 - 1, 2), (3, 4), (43, 5), (2**89 - 1, 1)):
+        assert PrimePower.from_int(p**f) == PrimePower(p, f)
+    for p, r in ((999999937, 1000000007), (1000000007, 1000000009), (999999937, 1000000009)):
+        assert is_prime(p) and is_prime(r)
+        for q in (p * r, p * p * r):
+            with pytest.raises(NotPrimePower, match=rf"^{q} is not a prime power$"):
+                PrimePower.from_int(q)
+    for n in HARD_COMPOSITES:
+        with pytest.raises(NotPrimePower, match=rf"^{n} is not a prime power$"):
+            PrimePower.from_int(n)
+
+
+def test_direct_construction_rejects_a_composite_p():
+    for p in (15, 3215031751, 3317044064679887385961981):
+        with pytest.raises(NotPrimePower, match=rf"^{p} is not prime$"):
+            PrimePower(p, 1)
+
+
+@pytest.mark.parametrize("q", [3, 43, 10**6 + 3, 3**4, (10**6 + 3) ** 2, (2**61 - 1) ** 2])
+def test_prime_power_parsing_tests_primality_once(monkeypatch, q):
+    import vndim.finite_field as finite_field
+
+    calls = []
+    is_prime_ = finite_field.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime_(n)
+
+    monkeypatch.setattr(finite_field, "is_prime", counting)
+    pp = PrimePower.from_int(q)
+    assert pp.q == q
+    assert calls == [pp.p]
 
 
 def scan_gl2(q):

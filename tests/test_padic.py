@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from vndim.cli import main
 from vndim.errors import (
     BadRamification,
     EvenResidue,
@@ -353,3 +354,37 @@ def test_negative_weyl_length_is_refused():
             weyl_length_histogram(max_length)
         with pytest.raises(NegativeLength):
             weyl_partial_sum(3, max_length)
+
+
+# -- each public call tests p once ------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: padic_valuation(Fraction(18, 5), 3),
+    lambda: padic_abs(Fraction(18, 5), 3),
+    lambda: ultrametric_check(Fraction(1, 3), Fraction(2, 3), 3),
+    lambda: quadratic_extension_count(3),
+    lambda: jl_formal_dim(3, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
+    lambda: main(["padic", "valuation", "--r", "18/5", "--p", "3"]),
+], ids=["padic_valuation", "padic_abs", "ultrametric_check", "quadratic_extension_count",
+        "jl_formal_dim", "cli-valuation"])
+def test_p_is_tested_once(monkeypatch, capsys, call):
+    import vndim.padic as padic
+
+    calls = []
+    is_prime = padic.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(padic, "is_prime", counting)
+    call()
+    assert calls == [3]
+
+
+def test_one_test_of_p_still_refuses_a_composite():
+    for call in (lambda: padic_abs(Fraction(1), 9),
+                 lambda: ultrametric_check(Fraction(1), Fraction(2), 9)):
+        with pytest.raises(NotPrime, match="^9 is not prime$"):
+            call()
