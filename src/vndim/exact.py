@@ -62,9 +62,6 @@ class PiRational:
             other = PiRational(other)
         return self * other.inverse()
 
-    def __neg__(self) -> "PiRational":
-        return PiRational(-self.coeff, self.pi_exp)
-
     # -- comparison ----------------------------------------------------
 
     def compare(self, other: "PiRational") -> int:
@@ -98,20 +95,10 @@ class PiRational:
     def __lt__(self, other: "PiRational") -> bool:
         return self.compare(other) < 0
 
-    def __le__(self, other: "PiRational") -> bool:
-        return self.compare(other) <= 0
-
     def __gt__(self, other: "PiRational") -> bool:
         return self.compare(other) > 0
 
-    def __ge__(self, other: "PiRational") -> bool:
-        return self.compare(other) >= 0
-
     # -- conversions ---------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.pi_exp == 0
 
     def as_rational(self) -> Fraction:
         """The coefficient, provided the value carries no pi factor."""

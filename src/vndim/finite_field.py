@@ -11,9 +11,13 @@ can cross-validate:
   arithmetic, which is exact.
 
 * For norm/trace/Hilbert-90 facts and for counting invertible matrices, the
-  fields themselves are built explicitly as iterated quadratic extensions of
-  Z/p, with the modulus x^2 + bx + c chosen deterministically (smallest (b, c)
-  in the base field's enumeration order that is irreducible).
+  fields themselves are built explicitly.  F_{p^f} is (Z/p)[x]/(g), where g is
+  the least monic irreducible polynomial of degree f when its coefficients
+  below x^f are read lexicographically, highest first; g is found by trial
+  division, not by a closed form.  F_{q^2} is built the same way, directly as
+  degree 2f over Z/p, and F_q inside it is the fixed field of the Frobenius
+  x -> x^q.  No discrete logarithm is used, so the norm and trace facts are
+  checked, not derived from the cyclic model above.
 
 Standing hypothesis throughout: q is a power of an odd prime.
 """
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from itertools import product
+from typing import Tuple
 
 from .errors import EvenResidue, NotPrimePower, TooLarge
 
@@ -221,106 +226,98 @@ def _enumerable(q) -> PrimePower:
 # -- explicit field model ----------------------------------------------------
 
 
-class _PrimeField:
-    """Z/p with elements 0..p-1."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.order = p
-        self.zero = 0
-        self.one = 1
-
-    def elements(self) -> Iterable[int]:
-        return range(self.p)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+def _divides(h: Tuple[int, ...], g: Tuple[int, ...], p: int) -> bool:
+    """Whether the monic polynomial h divides g over Z/p (coefficients highest first)."""
+    rest = list(g)
+    for i in range(len(g) - len(h) + 1):
+        c = rest[i] % p
+        for j, hj in enumerate(h):
+            rest[i + j] -= c * hj
+    return all(c % p == 0 for c in rest)
 
 
-class _QuadraticExtension:
-    """base[x]/(x^2 + bx + c); elements are pairs (lo, hi) = lo + hi*x."""
-
-    def __init__(self, base):
-        self.base = base
-        self.order = base.order**2
-        self.modulus = self._find_modulus()
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-
-    def _find_modulus(self) -> Tuple:
-        # Smallest (b, c) in the base enumeration order with x^2 + bx + c
-        # having no root; for a quadratic, no root means irreducible.
-        base = self.base
-        for b in base.elements():
-            for c in base.elements():
-                if all(
-                    base.add(base.add(base.mul(t, t), base.mul(b, t)), c) != base.zero
-                    for t in base.elements()
-                ):
-                    return (b, c)
-        raise AssertionError("no irreducible quadratic over a finite field")
-
-    def elements(self) -> Iterable[Tuple]:
-        for hi in self.base.elements():
-            for lo in self.base.elements():
-                yield (lo, hi)
-
-    def is_in_base(self, a) -> bool:
-        return a[1] == self.base.zero
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        # (a0 + a1 x)(b0 + b1 x) with x^2 = -(bx + c)
-        base = self.base
-        b_mod, c_mod = self.modulus
-        hi2 = base.mul(a[1], b[1])
-        lo = base.add(base.mul(a[0], b[0]), base.neg(base.mul(hi2, c_mod)))
-        hi = base.add(
-            base.add(base.mul(a[0], b[1]), base.mul(a[1], b[0])),
-            base.neg(base.mul(hi2, b_mod)),
-        )
-        return (lo, hi)
+def _least_irreducible(p: int, f: int) -> Tuple[int, ...]:
+    """The coefficients below x^f, highest first, of the least monic irreducible
+    polynomial of degree f over Z/p in their lexicographic order: the first
+    that no monic polynomial of degree 1 to f/2 divides (one exists for every f)."""
+    divisors = [(1,) + h for d in range(1, f // 2 + 1) for h in product(range(p), repeat=d)]
+    for tail in product(range(p), repeat=f):
+        if not any(_divides(h, (1,) + tail, p) for h in divisors):
+            return tail
 
 
-def _pow(field, a, n: int):
-    result = field.one
-    while n:
-        if n & 1:
-            result = field.mul(result, a)
-        a = field.mul(a, a)
-        n >>= 1
-    return result
+class _Field:
+    """F_{p^f} = (Z/p)[x]/(g), with g = x^f + (modulus, highest first).
+
+    An element is an int from 0 to p^f - 1: its base-p digits, lowest first,
+    are its coefficients of 1, x, ..., x^(f-1).  Arithmetic works on a second
+    form of each element (Kronecker substitution): the same coefficients in
+    lanes of `bits` bits of one int, wide enough that a product of two
+    elements, reduced modulo g, never carries from one lane into the next.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int, f: int):
+        self.p, self.f, self.order = p, f, p**f
+        self.modulus = _least_irreducible(p, f)
+        self._bits = bits = (f * f * p**3).bit_length()
+
+        def lanes(coeffs):
+            return sum(c << i * bits for i, c in enumerate(coeffs))
+
+        self._lanes = [lanes(a // p**i % p for i in range(f)) for a in range(self.order)]
+        # x^k mod g for k = f, ..., 2f - 2, coefficients in 0..p-1, lowest first
+        x_f = [-c % p for c in reversed(self.modulus)]
+        power, self._reductions = x_f, []
+        for _ in range(f - 1):
+            self._reductions.append(lanes(power))
+            power = [(c + power[-1] * r) % p for c, r in zip([0] + power, x_f)]
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def _element(self, lanes: int) -> int:
+        """The element whose coefficients are the lanes' values mod p."""
+        p, bits = self.p, self._bits
+        mask = (1 << bits) - 1
+        value = 0
+        for i in range(self.f - 1, -1, -1):
+            value = value * p + (lanes >> i * bits & mask) % p
+        return value
+
+    def add(self, a: int, b: int) -> int:
+        return self._element(self._lanes[a] + self._lanes[b])
+
+    def neg(self, a: int) -> int:
+        return self._element(self._lanes[a] * (self.p - 1))
+
+    def mul(self, a: int, b: int) -> int:
+        f, bits = self.f, self._bits
+        product = self._lanes[a] * self._lanes[b]
+        low = product & ((1 << f * bits) - 1)
+        product >>= f * bits
+        for reduction in self._reductions:
+            low += (product & ((1 << bits) - 1)) * reduction
+            product >>= bits
+        return self._element(low)
+
+    def pow(self, a: int, n: int) -> int:
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return result
 
 
-def _inverse(field, a):
-    # order - 2 is tiny here; Fermat/Lagrange inversion is plenty.
-    return _pow(field, a, field.order - 2)
-
-
-def field_model(q) -> "_PrimeField | _QuadraticExtension":
-    """Explicit model of F_q as an iterated quadratic extension of Z/p."""
+def field_model(q) -> _Field:
+    """Explicit model of F_q = (Z/p)[x]/(g), tabulating all q elements (see _Field)."""
     pp = as_prime_power(q)
-    if pp.f & (pp.f - 1):
-        raise NotPrimePower(
-            f"explicit model only built for f a power of 2, got f={pp.f}"
-        )
-    field = _PrimeField(pp.p)
-    f = pp.f
-    while f > 1:
-        field = _QuadraticExtension(field)
-        f //= 2
-    return field
+    return _Field(pp.p, pp.f)
 
 
 # -- group orders ------------------------------------------------------------
@@ -430,21 +427,21 @@ class NormTraceFacts:
 def norm_trace_facts(q) -> NormTraceFacts:
     """Verify by enumeration over an explicit F_{q^2} that the norm x -> x^(q+1)
     surjects onto F_q^x, the trace x -> x + x^q surjects onto F_q, and the norm
-    kernel has exactly q + 1 elements."""
+    kernel has exactly q + 1 elements.  F_q is the fixed field of x -> x^q."""
     pp = _enumerable(q)
     n = pp.q
-    big = _QuadraticExtension(field_model(pp))
+    big = _Field(pp.p, 2 * pp.f)
+    conj = [big.pow(x, n) for x in big.elements()]
     norm_image = set()
     trace_image = set()
     kernel = 0
     for x in big.elements():
-        conj = _pow(big, x, n)
-        tr = big.add(x, conj)
-        assert big.is_in_base(tr), "trace landed outside the base field"
+        tr = big.add(x, conj[x])
+        assert conj[tr] == tr, "trace is not fixed by Frobenius"
         trace_image.add(tr)
         if x != big.zero:
-            nx = big.mul(x, conj)
-            assert big.is_in_base(nx), "norm landed outside the base field"
+            nx = big.mul(x, conj[x])
+            assert conj[nx] == nx, "norm is not fixed by Frobenius"
             norm_image.add(nx)
             if nx == big.one:
                 kernel += 1
@@ -458,13 +455,13 @@ def norm_trace_facts(q) -> NormTraceFacts:
 def hilbert90_count(q) -> int:
     """Count the distinct x * conj(x)^-1 over x in F_{q^2}^x (all norm-1 elements)."""
     pp = _enumerable(q)
-    big = _QuadraticExtension(field_model(pp))
+    big = _Field(pp.p, 2 * pp.f)
     quotients = set()
     for x in big.elements():
         if x == big.zero:
             continue
-        conj = _pow(big, x, pp.q)
-        quotients.add(big.mul(x, _inverse(big, conj)))
+        conj = big.pow(x, pp.q)
+        quotients.add(big.mul(x, big.pow(conj, big.order - 2)))
     return len(quotients)
 
 

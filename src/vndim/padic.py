@@ -387,10 +387,19 @@ def jl_formal_dim(p: int, cls: JLClass) -> int:
 
     Only prime residue orders are supported here (the table is stated over Q_p).
     """
+    _check_jl_prime(p)
+    return _jl_formal_dim(p, cls)
+
+
+def _check_jl_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrime(f"the formal-dimension table needs a prime p, got {p}")
     if p == 2:
         raise EvenResidue("the formal-dimension table assumes odd residue order")
+
+
+def _jl_formal_dim(p: int, cls: JLClass) -> int:
+    """jl_formal_dim with p already known to be an odd prime."""
     if cls.tag is JLTag.GENERALIZED_SPECIAL:
         return 1
     if cls.tag is JLTag.UNRAMIFIED_CUSPIDAL:

@@ -18,8 +18,9 @@ from .padic import (
     JLClass,
     JLTag,
     PadicRep,
+    _check_jl_prime,
+    _jl_formal_dim,
     ihara_lattice,
-    jl_formal_dim,
     lattice_covolume,
     vn_dimension_padic,
 )
@@ -90,13 +91,14 @@ def padic_table(q: int, n_max: int) -> Table:
 
 def jl_table(p: int, j_max: int) -> Table:
     """Formal dimensions of discrete-series classes, Steinberg normalized to 1."""
-    rows = [("special", "-", jl_formal_dim(p, JLClass(JLTag.GENERALIZED_SPECIAL)))]
+    _check_jl_prime(p)
+    rows = [("special", "-", _jl_formal_dim(p, JLClass(JLTag.GENERALIZED_SPECIAL)))]
     for j in range(1, j_max + 1):
         rows.append(
-            ("unram", j, jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, j)))
+            ("unram", j, _jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, j)))
         )
     for j in range(2, j_max + 1, 2):
-        rows.append(("ram", j, jl_formal_dim(p, JLClass(JLTag.RAMIFIED_CUSPIDAL, j))))
+        rows.append(("ram", j, _jl_formal_dim(p, JLClass(JLTag.RAMIFIED_CUSPIDAL, j))))
     return Table(f"jl:{p}:{j_max}", ("class", "conductor", "formal_dim"), rows)
 
 

@@ -314,8 +314,10 @@ def test_enumeration_matches_the_full_matrix_scan():
     lambda: vn_dimension_padic(9, 5, PadicRep.DEPTH_ZERO_CUSPIDAL, HaarNormalization.K_ONE),
     lambda: main(["ff", "countregular", "--q", "9", "--nu", "sign"]),
     lambda: build_table("padic:3:6"),
+    lambda: norm_trace_facts(9),
+    lambda: hilbert90_count(9),
 ], ids=["vn_dimension_padic-steinberg", "vn_dimension_padic-cuspidal",
-        "cli-countregular-sign", "build_table-padic"])
+        "cli-countregular-sign", "build_table-padic", "norm_trace_facts", "hilbert90_count"])
 def test_q_is_validated_once(monkeypatch, capsys, call):
     calls = []
     from_int = PrimePower.from_int.__func__
@@ -327,3 +329,97 @@ def test_q_is_validated_once(monkeypatch, capsys, call):
     monkeypatch.setattr(PrimePower, "from_int", classmethod(counting))
     call()
     assert len(calls) == 1, calls
+
+
+# -- the explicit field model at every degree ------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81, 125, 243])
+def test_field_model_is_a_field(q):
+    import random
+
+    field = field_model(q)
+    elems = list(field.elements())
+    assert len(set(elems)) == q
+
+    def power(x, n):
+        result = field.one
+        for _ in range(n):
+            result = field.mul(result, x)
+        return result
+
+    for x in elems:
+        if x != field.zero:
+            assert power(x, q - 1) == field.one, x
+    rng = random.Random(q)
+    for _ in range(200):
+        a, b, c = (rng.choice(elems) for _ in range(3))
+        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+        assert field.add(a, field.neg(a)) == field.zero
+
+
+def test_field_elements_are_base_p_digits():
+    # F_9 = (Z/3)[x]/(x^2 + 1): the element 3 is x, so x * x = -1 = 2
+    field = field_model(9)
+    assert list(field.elements()) == list(range(9))
+    assert (field.zero, field.one) == (0, 1)
+    assert field.mul(3, 3) == 2
+    assert field.add(5, 4) == 6  # (2 + x) + (1 + x) = 2x
+    for x in range(1, 9):
+        assert field.pow(x, 8) == 1 and field.pow(x, 9) == x
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 125, 343])
+def test_modulus_is_the_least_polynomial_without_a_root(q):
+    # below degree 4, a monic polynomial is irreducible exactly when it has no root
+    pp = PrimePower.from_int(q)
+    p = pp.p
+
+    def value(tail, t):
+        return sum(c * t**i for i, c in enumerate(reversed((1,) + tail))) % p
+
+    irreducible = [tail for tail in product(range(p), repeat=pp.f)
+                   if pp.f == 1 or all(value(tail, t) for t in range(p))]
+    assert field_model(q).modulus == irreducible[0]
+
+
+def test_oracles_agree_with_closed_forms_at_27(monkeypatch):
+    import vndim.finite_field as finite_field
+
+    monkeypatch.setattr(finite_field, "ENUMERATION_GUARD", 27)
+    q = 27
+    counted, orders = enumerate_gl2(q), group_orders(q)
+    assert (counted.counted_order, counted.counted_borel) == (orders.gl2_order, orders.borel_order)
+    for nu in range(q - 1):
+        assert brute_force_regular_characters(q, nu) == count_regular_characters(q, nu)
+    assert norm_trace_facts(q) == finite_field.NormTraceFacts(True, True, q + 1)
+    assert hilbert90_count(q) == q + 1
+
+
+def schoolbook_mul(field, a, b):
+    """a * b by digit-by-digit polynomial multiplication and long division by g."""
+    p, f = field.p, field.f
+    da = [a // p**i % p for i in range(f)]
+    db = [b // p**i % p for i in range(f)]
+    prod = [0] * (2 * f - 1)
+    for i in range(f):
+        for j in range(f):
+            prod[i + j] += da[i] * db[j]
+    g = list(reversed(field.modulus))  # lowest first, x^f left implicit
+    for k in range(2 * f - 2, f - 1, -1):  # x^k = -x^(k-f) (g - x^f)
+        for i in range(f):
+            prod[k - f + i] -= prod[k] * g[i]
+    return sum(prod[i] % p * p**i for i in range(f))
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 81, 125, 243, 3**6, 7**3])
+def test_field_multiplication_matches_schoolbook(q):
+    import random
+
+    field = field_model(q)
+    rng = random.Random(q)
+    pairs = (product(range(q), repeat=2) if q <= 81
+             else [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)])
+    for a, b in pairs:
+        assert field.mul(a, b) == schoolbook_mul(field, a, b), (a, b)

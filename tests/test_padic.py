@@ -388,3 +388,34 @@ def test_one_test_of_p_still_refuses_a_composite():
                  lambda: ultrametric_check(Fraction(1), Fraction(2), 9)):
         with pytest.raises(NotPrime, match="^9 is not prime$"):
             call()
+
+
+def test_jl_table_tests_p_once(monkeypatch):
+    import vndim.padic as padic
+    from vndim.tables import build_table
+
+    calls = []
+    is_prime = padic.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(padic, "is_prime", counting)
+    table = build_table("jl:3:40")
+    assert len(table.rows) == 1 + 40 + 20
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("name, error, message", [
+    ("jl:4:3", NotPrime, "the formal-dimension table needs a prime p, got 4"),
+    ("jl:2:3", EvenResidue, "the formal-dimension table assumes odd residue order"),
+    ("jl:1:0", NotPrime, "the formal-dimension table needs a prime p, got 1"),
+])
+def test_jl_table_refuses_a_bad_p(name, error, message):
+    from vndim.tables import build_table
+
+    with pytest.raises(error) as raised:
+        build_table(name)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
