@@ -7,14 +7,18 @@ Usage shape:
 
 Each group and verb is described once, in the ordered registry ``OPERATIONS``;
 ``build_parser`` walks it and ``main`` runs every verb through one handler.
+Each call builds the parser afresh, with every group's name but only the verbs
+and flags of the group its first word names (all of them when it names none).
 
 Exit codes: 0 success, 1 usage error (unknown verb, malformed primitive flag),
 2 domain error (NoOccurrence, NoSuchLattice, parity violations, ...).
 
 Exact scalars serialize to JSON as {"num": int, "den": int, "pi_exp": int} and
 render to text as "a/b", "a/b·π", "a/(b·π)" (--ascii switches π to "pi" and
-the dot to "*").  All output is deterministic: LF line endings, record fields
-and JSON keys sorted.
+the dot to "*").  Text and csv print integers of any length exactly; JSON
+output refuses an integer longer than the interpreter's int-to-str limit
+(4300 digits by default) with TooLarge.  All output is deterministic: LF line
+endings, record fields and JSON keys sorted.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import factors, finite_field, fuchsian, padic
-from .errors import DomainError
-from .exact import PiRational, parse_pi_rational
+from .errors import DomainError, TooLarge
+from .exact import PiRational, int_text, parse_pi_rational
 from .fuchsian import GroupMode, parse_signature
 from .padic import HaarNormalization, PadicRep, parse_jl_class
 from .tables import Table, build_table
@@ -93,7 +97,7 @@ def _cell(value, fmt: str, ascii_pi: bool):
         return value if isinstance(value, (bool, int, str)) else str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return int_text(value) if isinstance(value, int) else str(value)
 
 
 def render_result(result, fmt: str, ascii_pi: bool) -> str:
@@ -130,7 +134,13 @@ def render_result(result, fmt: str, ascii_pi: bool) -> str:
         payload = [value for value, in cells] if isinstance(result, list) else cells[0][0]
         if fmt == "text":  # one value per line
             return "".join(value + "\n" for value, in cells)
-    return json.dumps(payload, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True) + "\n"
+    except ValueError:  # the only one json.dumps raises here: an int past the digit limit
+        raise TooLarge(
+            f"result has an integer longer than {sys.get_int_max_str_digits()} digits, "
+            "the longest that JSON output carries; use --format text or csv"
+        ) from None
 
 
 # -- the operation registry ------------------------------------------------------
@@ -302,21 +312,27 @@ OPERATIONS = (
 # -- parser construction and dispatch ----------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree: every group's name and help line, but the verbs and
+    flags of ``group`` alone when it names one (argparse never abbreviates a
+    subcommand, so no other group's verb is reachable), else of every group."""
     parser = argparse.ArgumentParser(
         prog="vndim",
         description="Exact covolumes, cusp-form dimensions, formal dimensions, and "
         "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F).",
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
+    named = group in {op.group for op in OPERATIONS}
     for op in OPERATIONS:
         if op.verb is None:
             p = groups.add_parser(op.group, help=op.help)
-            if op.fn is None:  # a group of verbs: they follow it in the registry
-                verbs = p.add_subparsers(dest="verb", required=True, metavar="VERB")
-                continue
-        else:
+        if named and op.group != group:  # another group: its name and help line suffice
+            continue
+        if op.verb is not None:
             p = verbs.add_parser(op.verb, help=op.help)
+        elif op.fn is None:  # a group of verbs: they follow it in the registry
+            verbs = p.add_subparsers(dest="verb", required=True, metavar="VERB")
+            continue
         p.set_defaults(op=op)
         for param in COMMON + op.params:
             p.add_argument(param.flag, **param.options)
@@ -324,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; the CLI contract wants 1
@@ -336,10 +354,11 @@ def main(argv=None) -> int:
     fn = getattr(sys.modules[op.fn.__module__], op.fn.__name__)
     try:
         result = fn(*(param.convert(getattr(args, param.dest), args) for param in op.params))
+        text = render_result(result, args.format, args.ascii)
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_result(result, args.format, args.ascii))
+    sys.stdout.write(text)
     return 0
 
 

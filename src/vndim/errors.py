@@ -82,7 +82,9 @@ class NotPrimePower(DomainError):
 
 
 class TooLarge(DomainError):
-    """Brute-force enumeration requested beyond its guard bound."""
+    """A request past a documented size bound: brute-force enumeration past
+    ENUMERATION_GUARD, a field model past FIELD_GUARD, or JSON output of an
+    integer longer than the interpreter's int-to-str digit limit."""
 
 
 # -- p-adic side ------------------------------------------------------------

@@ -20,6 +20,28 @@ from .errors import ExponentOverflow, IncomparableExponents
 
 _COEFF = Union[Fraction, int]
 
+#: Half the most decimal digits that str() converts in one piece: 600 digits
+#: stay under the lowest int-to-str limit Python accepts (640; 4300 by default).
+_CHUNK_DIGITS = 300
+
+
+def int_text(n: int) -> str:
+    """str(n) for an int of any length, without touching the interpreter's
+    process-wide int-to-str digit limit: a long n is split by a power of 10
+    into halves, each converted the same way."""
+    if n < 0:
+        return "-" + int_text(-n)
+    return _digits(n, 0)
+
+
+def _digits(n: int, width: int) -> str:
+    """n >= 0 in decimal, zero-padded on the left to at least width digits."""
+    half = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
+    if half < _CHUNK_DIGITS:
+        return str(n).zfill(width)
+    high, low = divmod(n, 10**half)
+    return _digits(high, width - half) + _digits(low, half)
+
 
 class PiRational:
     """An exact value coeff * pi^pi_exp, canonical: coeff == 0 forces pi_exp == 0."""
@@ -127,19 +149,19 @@ class PiRational:
         """Canonical text form: "a/b", "a/b·π", "a/(b·π)" (or "pi"/"*" in ASCII mode)."""
         pi = "pi" if ascii_pi else "π"
         dot = "*" if ascii_pi else "·"
-        num, den = self.coeff.numerator, self.coeff.denominator
+        num, den = int_text(self.coeff.numerator), int_text(self.coeff.denominator)
         if self.pi_exp == 0:
-            return str(num) if den == 1 else f"{num}/{den}"
+            return num if den == "1" else f"{num}/{den}"
         if self.pi_exp == 1:
-            if num == den:
+            if self.coeff == 1:
                 return pi
-            if -num == den:
+            if self.coeff == -1:
                 return f"-{pi}"
-            if den == 1:
+            if den == "1":
                 return f"{num}{dot}{pi}"
             return f"{num}/{den}{dot}{pi}"
         # pi_exp == -1
-        if den == 1:
+        if den == "1":
             return f"{num}/{pi}"
         return f"{num}/({den}{dot}{pi})"
 

@@ -35,6 +35,12 @@ from .errors import EvenResidue, NotPrimePower, TooLarge
 #: Brute-force guard: enumerations scan q^2 field elements or pairs of them.
 ENUMERATION_GUARD = 9
 
+#: Field-model guard: a model tabulates every one of its p^f elements, and
+#: finding its modulus walks polynomials over Z/p, so a larger field is refused.
+#: A model at the bound takes some tens of milliseconds, and F_{q^2} is still
+#: modelled for every q up to 81.
+FIELD_GUARD = 10**4
+
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -261,6 +267,8 @@ class _Field:
 
     def __init__(self, p: int, f: int):
         self.p, self.f, self.order = p, f, p**f
+        if self.order > FIELD_GUARD:
+            raise TooLarge(f"field of {p}^{f} elements exceeds field-model guard {FIELD_GUARD}")
         self.modulus = _least_irreducible(p, f)
         self._bits = bits = (f * f * p**3).bit_length()
 
@@ -315,7 +323,8 @@ class _Field:
 
 
 def field_model(q) -> _Field:
-    """Explicit model of F_q = (Z/p)[x]/(g), tabulating all q elements (see _Field)."""
+    """Explicit model of F_q = (Z/p)[x]/(g), tabulating all q elements (see _Field);
+    TooLarge past FIELD_GUARD elements."""
     pp = as_prime_power(q)
     return _Field(pp.p, pp.f)
 

@@ -58,11 +58,12 @@ def padic_valuation(r: Fraction, p: int):
 
 def _valuation(r: Fraction, p: int):
     """padic_valuation with p already known to be prime."""
-    r = Fraction(r)
-    if r == 0:
+    if not isinstance(r, (int, Fraction)):  # an int or a Fraction has its terms already
+        r = Fraction(r)
+    num, den = abs(r.numerator), r.denominator
+    if num == 0:
         return INFINITE_VALUATION
     v = 0
-    num, den = abs(r.numerator), r.denominator
     while num % p == 0:
         num //= p
         v += 1

@@ -1,11 +1,15 @@
+import argparse
 import json
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from vndim import cli
 from vndim.cli import OPERATIONS, main
-from vndim.exact import PiRational, parse_pi_rational
+from vndim.exact import PiRational, int_text, parse_pi_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -393,3 +397,84 @@ def test_composite_with_ten_digit_factors_exits_two(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: NotPrimePower: {q} is not a prime power\n"
+
+
+# -- each call builds only the invoked group's verbs --------------------------------
+
+NODES = [[]] + [[op.group] + ([op.verb] if op.verb else []) for op in OPERATIONS]
+
+
+@pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]], ids=["help", "bare", "bad-flag"])
+@pytest.mark.parametrize("node", NODES, ids=lambda node: " ".join(["vndim"] + node))
+def test_group_parser_output_matches_the_whole_tree(capsys, monkeypatch, node, tail):
+    monkeypatch.setenv("COLUMNS", "80")
+    narrow = run_cli(capsys, *node, *tail)
+    whole_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda group=None: whole_tree())
+    assert run_cli(capsys, *node, *tail) == narrow
+
+
+def _subcommands(parser):
+    """The subcommand parsers of ``parser`` by name; {} when it has none."""
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+def _verbs(group):
+    return [op.verb for op in OPERATIONS if op.group == group and op.verb is not None]
+
+
+def test_group_parser_holds_only_its_own_verbs():
+    groups = _subcommands(cli.build_parser("fuchsian"))
+    assert list(groups) == ["exact", "fuchsian", "factor", "ff", "padic", "table"]
+    assert list(_subcommands(groups["fuchsian"])) == _verbs("fuchsian")
+    for name, parser in groups.items():
+        if name != "fuchsian":  # the name and help line only: no verb, no flag
+            assert [action.dest for action in parser._actions] == ["help"], name
+    # a first word that names no group gets every group's verbs
+    for word in (None, "--help", "fuch", "nosuch"):
+        groups = _subcommands(cli.build_parser(word))
+        assert list(_subcommands(groups["padic"])) == _verbs("padic")
+        assert [action.dest for action in groups["table"]._actions][-1] == "name"
+
+
+def test_main_reads_sys_argv_and_builds_its_first_word(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda group=None: built.append(group) or build(group))
+    monkeypatch.setattr(sys, "argv", ["vndim", "fuchsian", "vndim", "--sig", "0;-;3", "--m", "5"])
+    assert main() == 0
+    assert capsys.readouterr().out == "5/2\n"
+    monkeypatch.setattr(sys, "argv", ["vndim"])
+    assert main() == 1
+    assert built == ["fuchsian", None]
+
+
+# -- results longer than the interpreter's int-to-str digit limit ----------------------
+
+
+HUGE_JL = ["padic", "jl", "--p", "3", "--cls", "unram:j=10000"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_huge_jl_result_prints_exactly(capsys, fmt):
+    code, out, err = run_cli(capsys, *HUGE_JL, "--format", fmt)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:-1] == ([] if fmt == "text" else ["value"])
+    assert len(lines[-1]) == 4772 and lines[-1] == int_text(2 * 3**9999)
+
+
+def test_huge_jl_result_in_json_is_too_large(capsys):
+    code, out, err = run_cli(capsys, *HUGE_JL, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: TooLarge: result has an integer longer than "
+                          f"{sys.get_int_max_str_digits()} digits")
+    assert "Traceback" not in err
+
+
+def test_huge_weyl_sum_prints_exactly(capsys):
+    code, out, err = run_cli(capsys, "padic", "weylsum", "--q", "3", "--max-length", "10000")
+    assert (code, err) == (0, "")
+    # 2(1 + 2 sum_{k=1..L} 3^-k) = 2(1 + 1 - 3^-L) = 4 - 2 * 3^-L
+    exact = 4 - Fraction(2, 3**10000)
+    assert out == f"{int_text(exact.numerator)}/{int_text(exact.denominator)}\n"

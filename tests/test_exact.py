@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from vndim.errors import ExponentOverflow, IncomparableExponents
-from vndim.exact import PI, PiRational, parse_pi_rational
+from vndim.exact import PI, PiRational, int_text, parse_pi_rational
 
 
 def test_mul_cancels_pi_factors():
@@ -148,3 +149,47 @@ def test_parse_rejects_garbage():
     for bad in ["", "pi/pi", "2**pi", "x", "1/2/3"]:
         with pytest.raises(ValueError):
             parse_pi_rational(bad)
+
+
+def _read_digits(text: str) -> int:
+    """int(text) for any length, read in chunks that stay under the digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert digits.isdigit() and (digits == "0" or not digits.startswith("0"))
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_int_text_matches_str_below_the_limit():
+    rng = random.Random(4300)
+    for n in [0, 1, -1, 9, 10, -10**999] + [rng.randrange(-10**4000, 10**4000) for _ in range(50)]:
+        assert int_text(n) == str(n)
+
+
+def test_int_text_is_exact_past_the_limit():
+    rng = random.Random(4301)
+    # powers of ten and their neighbours put runs of zeros at every split
+    cases = [10**k + d for k in (2000, 4300, 9999, 20000) for d in (-1, 0, 1)]
+    cases += [3**20000, -(7**9000), 2 * 3**9999]
+    cases += [rng.getrandbits(rng.randint(15000, 80000)) for _ in range(30)]
+    for n in cases:
+        assert _read_digits(int_text(n)) == n
+
+
+def test_int_text_works_under_the_lowest_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python accepts
+    try:
+        texts = {n: int_text(n) for n in (10**599, 10**600 - 1, 10**640 + 1, 3**20000)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for n, text in texts.items():
+        assert _read_digits(text) == n
+
+
+def test_render_is_exact_past_the_limit():
+    x = PiRational(Fraction(3**10000, 2**20000), 1)
+    num, den = x.render(ascii_pi=True).removesuffix("*pi").split("/")
+    assert (_read_digits(num), _read_digits(den)) == (3**10000, 2**20000)

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from vndim.finite_field import (
     count_regular_characters,
     enumerate_gl2,
     factors_through_norm,
+    FIELD_GUARD,
     field_model,
     finite_rep_dims,
     group_orders,
@@ -423,3 +425,13 @@ def test_field_multiplication_matches_schoolbook(q):
              else [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)])
     for a, b in pairs:
         assert field.mul(a, b) == schoolbook_mul(field, a, b), (a, b)
+
+
+def test_field_model_refuses_a_large_field_at_once():
+    assert field_model(9973).order == 9973  # the largest prime under the guard
+    assert field_model(3**8).order == 6561 <= FIELD_GUARD
+    for q in (10007, 1000003, 10**9 + 7, 3**20):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"exceeds field-model guard {FIELD_GUARD}"):
+            field_model(q)
+        assert time.perf_counter() - start < 0.1

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -419,3 +420,12 @@ def test_jl_table_refuses_a_bad_p(name, error, message):
         build_table(name)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("r, v", [
+    (18, 2), (-18, 2), (True, 0), (0, INFINITE_VALUATION), (Fraction(18, 5), 2),
+    (Fraction(5, 18), -2), (2.25, 2), (Decimal("0.36"), 2), ("7/27", -3),
+], ids=repr)
+def test_valuation_takes_every_rational_input(r, v):
+    assert padic_valuation(r, 3) == v
+    assert padic_abs(r, 3) == (0 if v == INFINITE_VALUATION else Fraction(3) ** -v)
