@@ -31,7 +31,6 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import factors, finite_field, fuchsian, padic
@@ -101,9 +100,11 @@ def _cell(value, fmt: str, ascii_pi: bool):
 
 
 def render_result(result, fmt: str, ascii_pi: bool) -> str:
-    """Turn a handler result (scalar, record dict, word list, or Table) into text."""
-    if is_dataclass(result) and not isinstance(result, Table):
-        result = asdict(result)
+    """Turn a handler result (scalar, record, word list, or Table) into text.
+
+    A record is a dict or a namedtuple; the library returns no other tuple."""
+    if isinstance(result, tuple) and not isinstance(result, Table):
+        result = result._asdict()
     # One grid for every shape: a record is one row of its sorted fields, and a word
     # list or a scalar is a one-column "value" table.
     if isinstance(result, Table):

@@ -83,8 +83,9 @@ class NotPrimePower(DomainError):
 
 class TooLarge(DomainError):
     """A request past a documented size bound: brute-force enumeration past
-    ENUMERATION_GUARD, a field model past FIELD_GUARD, or JSON output of an
-    integer longer than the interpreter's int-to-str digit limit."""
+    ENUMERATION_GUARD, a field model past FIELD_GUARD, a Weyl-word list longer
+    than WEYL_LENGTH_GUARD, or JSON output of an integer longer than the
+    interpreter's int-to-str digit limit."""
 
 
 # -- p-adic side ------------------------------------------------------------

@@ -25,8 +25,7 @@ Standing hypothesis throughout: q is a power of an odd prime.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import product
 from typing import Tuple
 
@@ -163,20 +162,18 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^f with p an odd prime."""
+class PrimePower(namedtuple("PrimePower", "p f")):
+    """q = p^f with p an odd prime; immutable, validated at construction."""
 
-    p: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimePower(f"{self.p} is not prime")
-        if self.p == 2:
+    def __init__(self, p: int, f: int):
+        if not is_prime(p):
+            raise NotPrimePower(f"{p} is not prime")
+        if p == 2:
             raise EvenResidue("residue-field order must be odd")
-        if self.f < 1:
-            raise NotPrimePower(f"exponent must be >= 1, got {self.f}")
+        if f < 1:
+            raise NotPrimePower(f"exponent must be >= 1, got {f}")
 
     @property
     def q(self) -> int:
@@ -332,11 +329,7 @@ def field_model(q) -> _Field:
 # -- group orders ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupOrders:
-    gl2_order: int
-    borel_order: int
-    borel_index: int
+GroupOrders = namedtuple("GroupOrders", "gl2_order borel_order borel_index")
 
 
 def group_orders(q) -> GroupOrders:
@@ -349,10 +342,7 @@ def group_orders(q) -> GroupOrders:
     )
 
 
-@dataclass(frozen=True)
-class EnumeratedOrders:
-    counted_order: int
-    counted_borel: int
+EnumeratedOrders = namedtuple("EnumeratedOrders", "counted_order counted_borel")
 
 
 def enumerate_gl2(q) -> EnumeratedOrders:
@@ -426,11 +416,7 @@ def brute_force_regular_characters(q, nu: int) -> int:
 # -- norm, trace, Hilbert 90 --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormTraceFacts:
-    norm_surjective: bool
-    trace_surjective: bool
-    norm_kernel_size: int
+NormTraceFacts = namedtuple("NormTraceFacts", "norm_surjective trace_surjective norm_kernel_size")
 
 
 def norm_trace_facts(q) -> NormTraceFacts:
@@ -477,11 +463,7 @@ def hilbert90_count(q) -> int:
 # -- representation dimensions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteRepDims:
-    principal_series_dim: int
-    cuspidal_dim: int
-    steinberg_dim: int
+FiniteRepDims = namedtuple("FiniteRepDims", "principal_series_dim cuspidal_dim steinberg_dim")
 
 
 def finite_rep_dims(q) -> FiniteRepDims:

@@ -22,7 +22,7 @@ trivially); a lattice in SL(2,R) not containing -I admits every m >= 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -44,25 +44,24 @@ class GroupMode(enum.Enum):
     SL2R = "sl"
 
 
-@dataclass(frozen=True)
-class FuchsianSignature:
+class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders cusps")):
     """Signature (genus; elliptic orders; cusps) of a Fuchsian group of the first kind.
 
     Validity (each order >= 2, Gauss-Bonnet area strictly positive) is enforced
     here, at construction, so every downstream formula may assume a genuine
-    lattice.
+    lattice.  ``elliptic_orders`` is always a tuple.
     """
 
-    genus: int
-    elliptic_orders: tuple = field(default=())
-    cusps: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elliptic_orders", tuple(self.elliptic_orders))
-        if self.genus < 0:
-            raise InvalidSignature(f"genus must be >= 0, got {self.genus}")
-        if self.cusps < 0:
-            raise InvalidSignature(f"cusp count must be >= 0, got {self.cusps}")
+    def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):
+        return tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
+
+    def __init__(self, genus: int, elliptic_orders=(), cusps: int = 0):
+        if genus < 0:
+            raise InvalidSignature(f"genus must be >= 0, got {genus}")
+        if cusps < 0:
+            raise InvalidSignature(f"cusp count must be >= 0, got {cusps}")
         for m in self.elliptic_orders:
             if not isinstance(m, int) or m < 2:
                 raise InvalidSignature(f"elliptic order must be an integer >= 2, got {m}")

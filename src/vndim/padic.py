@@ -6,9 +6,9 @@ odd order q.  Everything computable here reduces to exact rational arithmetic:
 * p-adic valuations and absolute values of rationals;
 * level arithmetic for characters of quadratic extensions;
 * reduced words in the affine Weyl group W0 (infinite dihedral: two involutive
-  generators, exactly two elements of each positive length), whose length
-  series 2 * sum q^(-l) governs square-integrability of the Steinberg
-  representation;
+  generators, exactly two elements of each positive length), listed up to
+  length WEYL_LENGTH_GUARD, whose length series 2 * sum q^(-l) governs
+  square-integrability of the Steinberg representation;
 * Haar normalizations, encoded by the volume they give the image of the
   maximal compact K modulo center (the Iwahori subgroup always has 1/(q+1) of
   that volume);
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -38,8 +38,9 @@ from .errors import (
     NoSuchLattice,
     NotPrime,
     OddRamifiedConductor,
+    TooLarge,
 )
-from .finite_field import PrimePower, as_prime_power, is_prime
+from .finite_field import as_prime_power, is_prime
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
 INFINITE_VALUATION = math.inf
@@ -99,10 +100,7 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
 # -- quadratic extension level arithmetic -------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelArithmetic:
-    composed_level: int
-    trace_ideal_exponent: int
+LevelArithmetic = namedtuple("LevelArithmetic", "composed_level trace_ideal_exponent")
 
 
 def extension_level_arithmetic(n: int, e: int) -> LevelArithmetic:
@@ -129,26 +127,33 @@ def quadratic_extension_count(p: int) -> int:
 
 _LETTERS = ("w", "w'")
 
+#: Word-list guard: weyl_enumerate holds every reduced word up to length L,
+#: about L^2 letters, so a longer bound is refused.  A CLI query at the bound
+#: takes about 1 s.
+WEYL_LENGTH_GUARD = 2000
 
-@dataclass(frozen=True)
-class ReducedWeylWord:
+
+class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
     """Reduced word in the infinite dihedral group on two involutions w, w'.
 
     Reduced means no two adjacent letters are equal (the only relations are
     w^2 = w'^2 = 1), so a reduced word is determined by its length and first
-    letter; the empty word is the identity.
+    letter; the empty word is the identity.  ``letters`` is always a tuple.
     """
 
-    letters: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
+    def __new__(cls, letters=()):
+        return tuple.__new__(cls, (tuple(letters),))
+
+    def __init__(self, letters=()):
+        letters = self.letters
+        for letter in letters:
             if letter not in _LETTERS:
                 raise ValueError(f"letters must be 'w' or \"w'\", got {letter!r}")
-        for left, right in zip(self.letters, self.letters[1:]):
+        for left, right in zip(letters, letters[1:]):
             if left == right:
-                raise ValueError(f"word {self.letters} is not reduced")
+                raise ValueError(f"word {letters} is not reduced")
 
     @property
     def length(self) -> int:
@@ -164,8 +169,13 @@ def _check_length(max_length: int) -> None:
 
 
 def weyl_enumerate(max_length: int) -> list:
-    """All reduced words of length <= max_length: the identity, then two per length."""
+    """All reduced words of length <= max_length: the identity, then two per length;
+    TooLarge past WEYL_LENGTH_GUARD."""
     _check_length(max_length)
+    if max_length > WEYL_LENGTH_GUARD:
+        raise TooLarge(
+            f"word length bound {max_length} exceeds Weyl-word guard {WEYL_LENGTH_GUARD}"
+        )
     words = [ReducedWeylWord(())]
     for k in range(1, max_length + 1):
         for first in _LETTERS:
@@ -186,11 +196,16 @@ def weyl_partial_sum(q, max_length: int) -> Fraction:
     """Partial sum 2 * sum_{l(g) <= L} q^(-l(g)) = 2(1 + 2 sum_{k=1..L} q^(-k)), exact.
 
     Strictly increasing in L and bounded by the closed form; the square-integral
-    of the distinguished Steinberg matrix coefficient is its limit.
+    of the distinguished Steinberg matrix coefficient is its limit.  The terms
+    are added over their common denominator q^L, as s = sum_{k=1..L} q^(L-k),
+    so each step multiplies by q and adds 1, and one Fraction is built at the end.
     """
     n = as_prime_power(q).q
     _check_length(max_length)
-    return 2 * (1 + 2 * sum(Fraction(1, n**k) for k in range(1, max_length + 1)))
+    s = 0
+    for _ in range(max_length):
+        s = s * n + 1
+    return Fraction(2 * (n**max_length + 2 * s), n**max_length)
 
 
 def weyl_closed_form(q) -> Fraction:
@@ -211,10 +226,7 @@ class HaarNormalization(enum.Enum):
     K_HALF_Q_MINUS_ONE = "khalf"  # vol(K.Z/Z) = (q-1)/2; Steinberg degree 1
 
 
-@dataclass(frozen=True)
-class HaarVolumes:
-    vol_IZ: Fraction
-    vol_KZ: Fraction
+HaarVolumes = namedtuple("HaarVolumes", "vol_IZ vol_KZ")
 
 
 def _vol_KZ(q: int, norm: HaarNormalization) -> Fraction:
@@ -267,13 +279,9 @@ def cms_steinberg_check(q, n: int = 2) -> Fraction:
 # -- lattices ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadicLattice:
-    """Torsion-free cocompact lattice: free of rank n, with h double cosets mod K."""
-
-    q: PrimePower
-    rank: int
-    h: int
+#: Torsion-free cocompact lattice: free of rank n, with h double cosets mod K;
+#: q is a PrimePower.
+PadicLattice = namedtuple("PadicLattice", "q rank h")
 
 
 def ihara_lattice(q, n: int) -> PadicLattice:
@@ -329,8 +337,7 @@ class JLTag(enum.Enum):
     RAMIFIED_CUSPIDAL = "ram"
 
 
-@dataclass(frozen=True)
-class JLClass:
+class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
     """Discrete-series class seen through the quaternion side of the correspondence.
 
     Cuspidal classes carry the conductor j of the character in a minimal
@@ -338,19 +345,18 @@ class JLClass:
     with even conductor.
     """
 
-    tag: JLTag
-    conductor: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag is JLTag.GENERALIZED_SPECIAL:
-            if self.conductor:
+    def __init__(self, tag: JLTag, conductor: int = 0):
+        if tag is JLTag.GENERALIZED_SPECIAL:
+            if conductor:
                 raise ValueError("generalized special classes carry no conductor")
             return
-        if self.conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {self.conductor}")
-        if self.tag is JLTag.RAMIFIED_CUSPIDAL and self.conductor % 2 != 0:
+        if conductor < 1:
+            raise ValueError(f"conductor must be >= 1, got {conductor}")
+        if tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
             raise OddRamifiedConductor(
-                f"ramified cuspidal classes need an even conductor, got {self.conductor}"
+                f"ramified cuspidal classes need an even conductor, got {conductor}"
             )
 
     def __str__(self) -> str:

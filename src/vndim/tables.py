@@ -8,7 +8,7 @@ output is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NoSuchLattice, UnknownTable
 from .finite_field import as_prime_power
@@ -26,11 +26,7 @@ from .padic import (
 )
 
 
-@dataclass
-class Table:
-    name: str
-    columns: tuple
-    rows: list
+Table = namedtuple("Table", "name columns rows")
 
 
 def hecke_table(q_max: int) -> Table:

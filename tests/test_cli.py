@@ -281,6 +281,18 @@ RENDERED = [
      '{"covolume": {"den": 3, "num": 1, "pi_exp": 1}, "signature": "0;2,3;1"}\n'),
     (["fuchsian", "catalog", "--name", "H3", "--format", "csv", "--ascii"],
      'covolume,signature\n1/3*pi,"0;2,3;1"\n'),
+    # namedtuple record
+    (["padic", "haar", "--q", "5", "--norm", "khalf"], "vol_IZ=1/3\nvol_KZ=2\n"),
+    (["padic", "haar", "--q", "5", "--norm", "khalf", "--format", "json"],
+     '{"vol_IZ": {"den": 3, "num": 1, "pi_exp": 0}, "vol_KZ": {"den": 1, "num": 2, "pi_exp": 0}}\n'),
+    (["padic", "haar", "--q", "5", "--norm", "khalf", "--format", "csv"],
+     "vol_IZ,vol_KZ\n1/3,2\n"),
+    (["ff", "normtrace", "--q", "3"],
+     "norm_kernel_size=4\nnorm_surjective=true\ntrace_surjective=true\n"),
+    (["ff", "normtrace", "--q", "3", "--format", "json"],
+     '{"norm_kernel_size": 4, "norm_surjective": true, "trace_surjective": true}\n'),
+    (["ff", "normtrace", "--q", "3", "--format", "csv"],
+     "norm_kernel_size,norm_surjective,trace_surjective\n4,true,true\n"),
     # boolean
     (["ff", "isregular", "--q", "3", "--a", "1"], "true\n"),
     (["ff", "isregular", "--q", "3", "--a", "4"], "false\n"),
@@ -478,3 +490,18 @@ def test_huge_weyl_sum_prints_exactly(capsys):
     # 2(1 + 2 sum_{k=1..L} 3^-k) = 2(1 + 1 - 3^-L) = 4 - 2 * 3^-L
     exact = 4 - Fraction(2, 3**10000)
     assert out == f"{int_text(exact.numerator)}/{int_text(exact.denominator)}\n"
+
+
+def test_long_weyl_sum_answers_exactly_and_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "padic", "weylsum", "--q", "3", "--max-length", "30000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    exact = 4 - Fraction(2, 3**30000)
+    assert out == f"{int_text(exact.numerator)}/{int_text(exact.denominator)}\n"
+
+
+@pytest.mark.parametrize("length", ["2001", "100000"])
+def test_weyl_word_list_past_the_guard_exits_two(capsys, length):
+    assert run_cli(capsys, "padic", "weyl", "--max-length", length) == (
+        2, "", f"error: TooLarge: word length bound {length} exceeds Weyl-word guard 2000\n")

@@ -14,9 +14,11 @@ from vndim.errors import (
     NoSuchLattice,
     NotPrime,
     OddRamifiedConductor,
+    TooLarge,
 )
 from vndim.padic import (
     INFINITE_VALUATION,
+    WEYL_LENGTH_GUARD,
     HaarNormalization,
     JLClass,
     JLTag,
@@ -186,6 +188,34 @@ def test_weyl_partial_sums():
     assert weyl_partial_sum(3, 0) == 2
     assert weyl_partial_sum(3, 1) == Fraction(10, 3)
     assert weyl_closed_form(3) == 4
+
+
+def fraction_by_fraction_weyl_sum(q, max_length):
+    """Oracle: 2(1 + 2 sum_{k=1..L} q^(-k)), adding one Fraction per term."""
+    total = Fraction(0)
+    for k in range(1, max_length + 1):
+        total += Fraction(1, q**k)
+    return 2 * (1 + 2 * total)
+
+
+def test_weyl_partial_sum_matches_a_fraction_by_fraction_sum():
+    for q in (3, 5, 7, 9, 25):
+        for L in range(0, 61):
+            assert weyl_partial_sum(q, L) == fraction_by_fraction_weyl_sum(q, L), (q, L)
+
+
+def test_weyl_enumeration_refuses_past_the_guard():
+    assert WEYL_LENGTH_GUARD == 2000
+    for call in (weyl_enumerate, weyl_length_histogram):
+        with pytest.raises(TooLarge) as raised:
+            call(WEYL_LENGTH_GUARD + 1)
+        assert str(raised.value) == "word length bound 2001 exceeds Weyl-word guard 2000"
+    # the largest allowed bound still answers in full
+    words = weyl_enumerate(WEYL_LENGTH_GUARD)
+    assert len(words) == 2 * WEYL_LENGTH_GUARD + 1
+    assert str(words[-1]) == "w'w" * (WEYL_LENGTH_GUARD // 2)
+    # the partial sum holds no words, so it has no such bound
+    assert weyl_partial_sum(3, WEYL_LENGTH_GUARD + 1) == 4 - Fraction(2, 3**2001)
 
 
 def test_weyl_tail_is_exact_geometric():

@@ -1,0 +1,180 @@
+"""The contract of every result record and validated value type.
+
+Result records are namedtuples and the validated value types subclass one, so
+``import vndim`` does not load ``dataclasses``.  Each type keeps its field
+names and order, its repr, attribute access, refusal of attribute assignment,
+and equality and hashing of equal values.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import vndim
+from vndim.finite_field import (
+    EnumeratedOrders,
+    FiniteRepDims,
+    GroupOrders,
+    NormTraceFacts,
+    PrimePower,
+    enumerate_gl2,
+    finite_rep_dims,
+    group_orders,
+    norm_trace_facts,
+)
+from vndim.fuchsian import FuchsianSignature, parse_signature
+from vndim.padic import (
+    HaarNormalization,
+    HaarVolumes,
+    JLClass,
+    JLTag,
+    LevelArithmetic,
+    PadicLattice,
+    ReducedWeylWord,
+    extension_level_arithmetic,
+    haar_volumes,
+    ihara_lattice,
+    parse_jl_class,
+    weyl_enumerate,
+)
+from vndim.tables import Table, build_table
+
+PADIC_COLUMNS = ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal")
+
+#: (build, type, field values in order, repr); ``build`` is the library call
+#: that returns the value, so that the test pins what callers receive.
+CONTRACTS = [
+    (lambda: group_orders(3), GroupOrders,
+     {"gl2_order": 48, "borel_order": 12, "borel_index": 4},
+     "GroupOrders(gl2_order=48, borel_order=12, borel_index=4)"),
+    (lambda: enumerate_gl2(3), EnumeratedOrders,
+     {"counted_order": 48, "counted_borel": 12},
+     "EnumeratedOrders(counted_order=48, counted_borel=12)"),
+    (lambda: norm_trace_facts(3), NormTraceFacts,
+     {"norm_surjective": True, "trace_surjective": True, "norm_kernel_size": 4},
+     "NormTraceFacts(norm_surjective=True, trace_surjective=True, norm_kernel_size=4)"),
+    (lambda: finite_rep_dims(3), FiniteRepDims,
+     {"principal_series_dim": 4, "cuspidal_dim": 2, "steinberg_dim": 3},
+     "FiniteRepDims(principal_series_dim=4, cuspidal_dim=2, steinberg_dim=3)"),
+    (lambda: extension_level_arithmetic(2, 2), LevelArithmetic,
+     {"composed_level": 4, "trace_ideal_exponent": 2},
+     "LevelArithmetic(composed_level=4, trace_ideal_exponent=2)"),
+    (lambda: haar_volumes(5, HaarNormalization.K_HALF_Q_MINUS_ONE), HaarVolumes,
+     {"vol_IZ": Fraction(1, 3), "vol_KZ": Fraction(2)},
+     "HaarVolumes(vol_IZ=Fraction(1, 3), vol_KZ=Fraction(2, 1))"),
+    (lambda: ihara_lattice(3, 4), PadicLattice,
+     {"q": PrimePower(3, 1), "rank": 4, "h": 3},
+     "PadicLattice(q=PrimePower(p=3, f=1), rank=4, h=3)"),
+    (lambda: build_table("padic:5:2"), Table,
+     {"name": "padic:5:2", "columns": PADIC_COLUMNS, "rows": []},
+     f"Table(name='padic:5:2', columns={PADIC_COLUMNS!r}, rows=[])"),
+    (lambda: PrimePower.from_int(9), PrimePower, {"p": 3, "f": 2}, "PrimePower(p=3, f=2)"),
+    (lambda: parse_signature("0;2,3;1"), FuchsianSignature,
+     {"genus": 0, "elliptic_orders": (2, 3), "cusps": 1},
+     "FuchsianSignature(genus=0, elliptic_orders=(2, 3), cusps=1)"),
+    (lambda: parse_jl_class("ram:j=4"), JLClass,
+     {"tag": JLTag.RAMIFIED_CUSPIDAL, "conductor": 4},
+     "JLClass(tag=<JLTag.RAMIFIED_CUSPIDAL: 'ram'>, conductor=4)"),
+    (lambda: weyl_enumerate(2)[3], ReducedWeylWord, {"letters": ("w", "w'")},
+     "ReducedWeylWord(letters=('w', \"w'\"))"),
+]
+IDS = [contract[1].__name__ for contract in CONTRACTS]
+
+
+@pytest.mark.parametrize("build, cls, fields, text", CONTRACTS, ids=IDS)
+def test_fields_repr_and_attribute_access(build, cls, fields, text):
+    value = build()
+    assert type(value) is cls
+    assert cls._fields == tuple(fields)
+    assert repr(value) == text
+    for name, expected in fields.items():
+        assert getattr(value, name) == expected
+    assert value._asdict() == fields
+
+
+@pytest.mark.parametrize("build, cls, fields, text", CONTRACTS, ids=IDS)
+def test_attribute_assignment_is_refused(build, cls, fields, text):
+    value = build()
+    for name in list(fields) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("build, cls, fields, text", CONTRACTS, ids=IDS)
+def test_equal_values_are_equal_and_hash_alike(build, cls, fields, text):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and not first != second
+    assert cls(**fields) == first
+    if cls is not Table:  # a table's rows are a list
+        assert hash(first) == hash(second) == hash(cls(**fields))
+        assert len({first, second}) == 1
+
+
+def test_value_types_str_and_properties():
+    assert str(PrimePower(3, 2)) == "PrimePower(p=3, f=2)"
+    assert str(parse_signature("0;-;3")) == "0;-;3"
+    assert str(parse_signature("0;2,3;1")) == "0;2,3;1"
+    assert str(JLClass(JLTag.GENERALIZED_SPECIAL)) == "special"
+    assert str(JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)) == "unram:j=2"
+    assert str(ReducedWeylWord()) == "1"
+    assert str(ReducedWeylWord(("w'", "w"))) == "w'w"
+    assert ReducedWeylWord(("w'", "w")).length == 2
+    assert PrimePower(3, 2).q == 9
+
+
+def test_sequences_are_normalised_to_tuples():
+    sig = FuchsianSignature(0, [2, 3], 1)
+    assert type(sig.elliptic_orders) is tuple and sig == parse_signature("0;2,3;1")
+    assert FuchsianSignature(0, iter([2, 3]), 1).elliptic_orders == (2, 3)
+    assert FuchsianSignature(0, cusps=3).elliptic_orders == ()
+    word = ReducedWeylWord(["w", "w'"])
+    assert type(word.letters) is tuple and word == ReducedWeylWord(("w", "w'"))
+    assert ReducedWeylWord(iter(["w"])).letters == ("w",)
+    assert JLClass(JLTag.GENERALIZED_SPECIAL).conductor == 0
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PrimePower(4, 0), "NotPrimePower", "4 is not prime"),
+    (lambda: PrimePower(2, 0), "EvenResidue", "residue-field order must be odd"),
+    (lambda: PrimePower(3, 0), "NotPrimePower", "exponent must be >= 1, got 0"),
+    (lambda: FuchsianSignature(-1, (1,), -1), "InvalidSignature", "genus must be >= 0, got -1"),
+    (lambda: FuchsianSignature(0, (1,), -1), "InvalidSignature",
+     "cusp count must be >= 0, got -1"),
+    (lambda: FuchsianSignature(1, (1,), 0), "InvalidSignature",
+     "elliptic order must be an integer >= 2, got 1"),
+    (lambda: FuchsianSignature(0, (2.0,), 3), "InvalidSignature",
+     "elliptic order must be an integer >= 2, got 2.0"),
+    (lambda: FuchsianSignature(0, (2, 2), 1), "NonHyperbolic",
+     "signature 0;2,2;1 has Gauss-Bonnet area 2*pi*0 <= 0"),
+    (lambda: FuchsianSignature(0, 5, 1), "TypeError", "'int' object is not iterable"),
+    (lambda: JLClass(JLTag.GENERALIZED_SPECIAL, 1), "ValueError",
+     "generalized special classes carry no conductor"),
+    (lambda: JLClass(JLTag.UNRAMIFIED_CUSPIDAL), "ValueError", "conductor must be >= 1, got 0"),
+    (lambda: JLClass(JLTag.RAMIFIED_CUSPIDAL, -1), "ValueError",
+     "conductor must be >= 1, got -1"),
+    (lambda: JLClass(JLTag.RAMIFIED_CUSPIDAL, 3), "OddRamifiedConductor",
+     "ramified cuspidal classes need an even conductor, got 3"),
+    (lambda: ReducedWeylWord(("x", "x")), "ValueError", "letters must be 'w' or \"w'\", got 'x'"),
+    (lambda: ReducedWeylWord(("w'", "w", "w")), "ValueError",
+     "word (\"w'\", 'w', 'w') is not reduced"),
+    (lambda: ReducedWeylWord("ww"), "ValueError", "word ('w', 'w') is not reduced"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_validation_errors_and_their_order(build, error, message):
+    with pytest.raises(Exception) as raised:
+        build()
+    assert (type(raised.value).__name__, str(raised.value)) == (error, message)
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # -S keeps site-packages hooks from loading modules of their own first.
+    code = "import sys, vndim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(vndim.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
