@@ -17,8 +17,9 @@ Exact scalars serialize to JSON as {"num": int, "den": int, "pi_exp": int} and
 render to text as "a/b", "a/b·π", "a/(b·π)" (--ascii switches π to "pi" and
 the dot to "*").  Text and csv print integers of any length exactly; JSON
 output refuses an integer longer than the interpreter's int-to-str limit
-(4300 digits by default) with TooLarge.  All output is deterministic: LF line
-endings, record fields and JSON keys sorted.
+(4300 digits by default) with TooLarge, and so does a rational or scalar flag,
+as int() does an integer flag.  All output is deterministic: LF line endings,
+record fields and JSON keys sorted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import io
 import json
 import math
 import operator
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -38,27 +40,44 @@ from .errors import DomainError, TooLarge
 from .exact import PiRational, int_text, parse_pi_rational
 from .fuchsian import GroupMode, parse_signature
 from .padic import HaarNormalization, PadicRep, parse_jl_class
-from .tables import Table, build_table
+from .tables import TABLE_NAMES, Table, build_table
 
 
 # -- input parsing -------------------------------------------------------------
 
 
-def _parse_scalar(text: str) -> PiRational:
-    s = text.strip()
-    try:
-        if s.startswith("{"):
-            return PiRational.from_json_dict(json.loads(s))
-        return parse_pi_rational(s)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse exact scalar {text!r}: {exc}") from None
+def _scalar(text: str) -> PiRational:
+    if text.startswith("{"):
+        return PiRational.from_json_dict(json.loads(text))
+    return parse_pi_rational(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational {text!r}: {exc}") from None
+#: A decimal exponent as Fraction reads it (compiled on first use, not at import).
+_EXPONENT = r"e([-+]?\d+(?:_\d+)*)"
+
+
+def _exact(parse, what: str):
+    """The converter of flag text through ``parse``: a DomainError for malformed
+    text, and TooLarge for a decimal exponent (before 10 is raised to it), or a
+    numerator or denominator, past the interpreter's int-to-str digit limit."""
+
+    def convert(text: str, args):
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        try:
+            if limit and any(abs(int(e)) > limit for e in re.findall(_EXPONENT, text, re.I)):
+                raise TooLarge(f"{what} {text!r} has an exponent above {limit}, the "
+                               "int-to-str digit limit")
+            value = parse(text.strip())
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
+        coeff = getattr(value, "coeff", value)  # a scalar's rational part
+        term = max(abs(coeff.numerator), coeff.denominator)
+        if limit and term.bit_length() > 3.32 * limit and term >= 10**limit:  # log2(10) > 3.32
+            raise TooLarge(f"{what} {text!r} has a numerator or denominator longer "
+                           f"than {limit} digits")
+        return value
+
+    return convert
 
 
 def _parse_nu(text: str, q) -> int:
@@ -168,26 +187,25 @@ class Kind:
         return Param(flag, flag.lstrip("-").replace("-", "_"), options, self.convert)
 
 
+def _choice(default, **options) -> Kind:
+    """A flag taking the value of a member of ``default``'s enum, listed in their order."""
+    values = type(default)
+    return Kind(lambda text, args: values(text), choices=[m.value for m in values],
+                default=default, **options)
+
+
 INT = Kind(type=int, required=True)
 NAME = Kind(required=True)
-SCALAR = Kind(lambda text, args: _parse_scalar(text), required=True)
-FRACTION = Kind(lambda text, args: _parse_fraction(text), required=True)
+SCALAR = Kind(_exact(_scalar, "exact scalar"), required=True)
+FRACTION = Kind(_exact(Fraction, "rational"), required=True)
 SIGNATURE = Kind(lambda text, args: parse_signature(text), required=True)
 NU = Kind(lambda text, args: _parse_nu(text, args.q), required=True)
 JL_CLASS = Kind(lambda text, args: _parse_jl_class(text), required=True)
-MODE = Kind(
-    lambda text, args: GroupMode(text), choices=("psl", "sl"), default="psl",
-    help="psl: odd parameters only (default); sl: any parameter >= 1",
-)
-NORM = Kind(
-    lambda text, args: HaarNormalization(text),
-    choices=("iwahori1", "k1", "kq1", "khalf"), default="k1",
-    help="Haar normalization: vol(I.Z/Z)=1, vol(K.Z/Z)=1 (default), q+1, or (q-1)/2",
-)
-REP = Kind(lambda text, args: PadicRep(text), choices=("steinberg", "cuspidal"),
-           default="steinberg")
-TABLE_NAME = Kind(help="hecke:<qmax> | free-congruence | vn-free:<m> | "
-                  "padic:<q>:<nmax> | jl:<p>:<jmax>")
+MODE = _choice(GroupMode.PSL2R, help="psl: odd parameters only (default); sl: any parameter >= 1")
+NORM = _choice(HaarNormalization.K_ONE,
+               help="Haar normalization: vol(I.Z/Z)=1, vol(K.Z/Z)=1 (default), q+1, or (q-1)/2")
+REP = _choice(PadicRep.STEINBERG)
+TABLE_NAME = Kind(help=" | ".join(TABLE_NAMES))
 FORMAT = Kind(choices=("text", "json", "csv"), default="text", help="output format (default: text)")
 ASCII = Kind(action="store_true", help="render pi as 'pi' instead of the unicode letter")
 #: The flags every operation takes besides its own.

@@ -82,10 +82,23 @@ class NotPrimePower(DomainError):
 
 
 class TooLarge(DomainError):
-    """A request past a documented size bound: brute-force enumeration past
-    ENUMERATION_GUARD, a field model past FIELD_GUARD, a Weyl-word list longer
-    than WEYL_LENGTH_GUARD, or JSON output of an integer longer than the
-    interpreter's int-to-str digit limit."""
+    """A request past a documented size bound.  The bounds, all module constants:
+
+    * finite_field.ENUMERATION_GUARD = 9: the largest q a brute-force enumeration scans;
+    * finite_field.FIELD_GUARD = 10**4: the most elements a field model holds;
+    * finite_field.PRIME_BITS_GUARD = 3200: the most bits of a q with no prime
+      factor up to 41 (PrimePower.from_int), or of a p (the p-adic checks of p),
+      that is tested for primality;
+    * padic.WEYL_LENGTH_GUARD = 2000: the longest Weyl-word list;
+    * padic.RESULT_DIGIT_GUARD = 45 000: the most digits of the power q^L in a
+      Weyl partial sum, or of the power of p in a formal dimension of the
+      Jacquet-Langlands table;
+    * tables.TABLE_ROW_GUARD = 10 000: the most rows a hecke, padic or jl table walks;
+    * tables.TABLE_DIGIT_GUARD = 2 * 10**6: about the most digits of a jl table;
+    * the interpreter's int-to-str digit limit (4300 by default): the most digits
+      of an integer in JSON output, or of the numerator or denominator of a CLI
+      rational or scalar, and the largest decimal exponent such a flag carries.
+    """
 
 
 # -- p-adic side ------------------------------------------------------------

@@ -14,11 +14,8 @@ compare by coefficient; unlike terms are refused rather than approximated).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExponentOverflow, IncomparableExponents
-
-_COEFF = Union[Fraction, int]
 
 #: Half the most decimal digits that str() converts in one piece: 600 digits
 #: stay under the lowest int-to-str limit Python accepts (640; 4300 by default).
@@ -48,7 +45,7 @@ class PiRational:
 
     __slots__ = ("coeff", "pi_exp")
 
-    def __init__(self, coeff: _COEFF, pi_exp: int = 0):
+    def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
         coeff = Fraction(coeff)
         if coeff == 0:
             pi_exp = 0
@@ -62,7 +59,7 @@ class PiRational:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __mul__(self, other: "PiRational | _COEFF") -> "PiRational":
+    def __mul__(self, other: "PiRational | Fraction | int") -> "PiRational":
         if not isinstance(other, PiRational):
             other = PiRational(other)
         exp = self.pi_exp + other.pi_exp
@@ -79,7 +76,7 @@ class PiRational:
             raise ZeroDivisionError("inverse of exact zero")
         return PiRational(1 / self.coeff, -self.pi_exp)
 
-    def __truediv__(self, other: "PiRational | _COEFF") -> "PiRational":
+    def __truediv__(self, other: "PiRational | Fraction | int") -> "PiRational":
         if not isinstance(other, PiRational):
             other = PiRational(other)
         return self * other.inverse()

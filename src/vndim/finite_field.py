@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from itertools import product
-from typing import Tuple
 
 from .errors import EvenResidue, NotPrimePower, TooLarge
 
@@ -39,6 +38,11 @@ ENUMERATION_GUARD = 9
 #: A model at the bound takes some tens of milliseconds, and F_{q^2} is still
 #: modelled for every q up to 81.
 FIELD_GUARD = 10**4
+
+#: Primality guard: PrimePower.from_int, and the p-adic checks of p, refuse a
+#: number of more bits than this that they would test for primality; a prime at
+#: the bound takes about 0.4 s to test.  is_prime itself takes any n.
+PRIME_BITS_GUARD = 3200
 
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -143,6 +147,13 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+def _check_prime_bits(n: int, what: str) -> None:
+    """TooLarge when n has more bits than PRIME_BITS_GUARD."""
+    if n.bit_length() > PRIME_BITS_GUARD:
+        raise TooLarge(f"{what} of {n.bit_length()} bits exceeds primality guard "
+                       f"{PRIME_BITS_GUARD} bits")
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 1: math.isqrt for k = 2, Newton's method above.
 
@@ -186,7 +197,8 @@ class PrimePower(namedtuple("PrimePower", "p f")):
         A prime up to 41 that divides q must be p.  Otherwise every prime
         factor of q is at least 43: take integer k-th roots while they are
         exact, down to r with r^f = q and r no perfect power.  Then q is a
-        prime power exactly when r is prime.
+        prime power exactly when r is prime.  Such a q is refused with
+        TooLarge past PRIME_BITS_GUARD bits.
         """
         if q % 2 == 0:
             raise EvenResidue(f"residue-field order must be odd, got {q}")
@@ -201,6 +213,7 @@ class PrimePower(namedtuple("PrimePower", "p f")):
                 if rest != 1:
                     raise NotPrimePower(f"{q} is not a prime power")
                 return cls(p, f)
+        _check_prime_bits(q, "q")  # before the roots, which also grow with it
         p, f, k = q, 1, 2
         while 43**k <= p:
             r = _iroot(p, k)
@@ -229,7 +242,7 @@ def _enumerable(q) -> PrimePower:
 # -- explicit field model ----------------------------------------------------
 
 
-def _divides(h: Tuple[int, ...], g: Tuple[int, ...], p: int) -> bool:
+def _divides(h: tuple[int, ...], g: tuple[int, ...], p: int) -> bool:
     """Whether the monic polynomial h divides g over Z/p (coefficients highest first)."""
     rest = list(g)
     for i in range(len(g) - len(h) + 1):
@@ -239,7 +252,7 @@ def _divides(h: Tuple[int, ...], g: Tuple[int, ...], p: int) -> bool:
     return all(c % p == 0 for c in rest)
 
 
-def _least_irreducible(p: int, f: int) -> Tuple[int, ...]:
+def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
     """The coefficients below x^f, highest first, of the least monic irreducible
     polynomial of degree f over Z/p in their lexicographic order: the first
     that no monic polynomial of degree 1 to f/2 divides (one exists for every f)."""
@@ -448,16 +461,12 @@ def norm_trace_facts(q) -> NormTraceFacts:
 
 
 def hilbert90_count(q) -> int:
-    """Count the distinct x * conj(x)^-1 over x in F_{q^2}^x (all norm-1 elements)."""
+    """Count the distinct x * conj(x)^-1 over x in F_{q^2}^x (all norm-1 elements).
+
+    conj(x) = x^q and x^(q^2-1) = 1, so each quotient is the single power x^(q^2-q)."""
     pp = _enumerable(q)
     big = _Field(pp.p, 2 * pp.f)
-    quotients = set()
-    for x in big.elements():
-        if x == big.zero:
-            continue
-        conj = big.pow(x, pp.q)
-        quotients.add(big.mul(x, big.pow(conj, big.order - 2)))
-    return len(quotients)
+    return len({big.pow(x, big.order - pp.q) for x in big.elements() if x != big.zero})
 
 
 # -- representation dimensions ------------------------------------------------

@@ -8,7 +8,8 @@ odd order q.  Everything computable here reduces to exact rational arithmetic:
 * reduced words in the affine Weyl group W0 (infinite dihedral: two involutive
   generators, exactly two elements of each positive length), listed up to
   length WEYL_LENGTH_GUARD, whose length series 2 * sum q^(-l) governs
-  square-integrability of the Steinberg representation;
+  square-integrability of the Steinberg representation (its partial sums are
+  refused past RESULT_DIGIT_GUARD digits);
 * Haar normalizations, encoded by the volume they give the image of the
   maximal compact K modulo center (the Iwahori subgroup always has 1/(q+1) of
   that volume);
@@ -20,7 +21,11 @@ odd order q.  Everything computable here reduces to exact rational arithmetic:
   dimensions n-1 and 2(n-1), independent of normalization;
 * the formal-dimension table under the Jacquet-Langlands correspondence,
   stated under the normalization that gives the Steinberg representation
-  formal degree 1 (that is, vol(K.Z/Z) = (q-1)/2).
+  formal degree 1 (that is, vol(K.Z/Z) = (q-1)/2), up to RESULT_DIGIT_GUARD
+  digits.
+
+A p that must be prime is refused with TooLarge past finite_field.PRIME_BITS_GUARD
+bits, before it is tested.
 """
 
 from __future__ import annotations
@@ -40,13 +45,29 @@ from .errors import (
     OddRamifiedConductor,
     TooLarge,
 )
-from .finite_field import as_prime_power, is_prime
+from .finite_field import _check_prime_bits, as_prime_power, is_prime
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
 INFINITE_VALUATION = math.inf
 
+#: Result-size guard: weyl_partial_sum and the formal-dimension table refuse a
+#: result whose power of q or p (q^L, p^(j-1), ...) would have more decimal
+#: digits than this, before computing it.  A CLI query at the bound (a Weyl sum
+#: at q = 3) takes about 1 s.
+RESULT_DIGIT_GUARD = 45_000
+
+
+def _check_digits(base: int, exponent: int) -> None:
+    """TooLarge when base^exponent (base > 1, no power of 10) has more than
+    RESULT_DIGIT_GUARD digits."""
+    digits = int(exponent * math.log10(base)) + 1
+    if digits > RESULT_DIGIT_GUARD:
+        raise TooLarge(f"result needs a power of {digits} digits, more than the "
+                       f"result-digit guard {RESULT_DIGIT_GUARD}")
+
 
 def _check_prime(p: int) -> None:
+    _check_prime_bits(p, "p")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
@@ -176,11 +197,10 @@ def weyl_enumerate(max_length: int) -> list:
         raise TooLarge(
             f"word length bound {max_length} exceeds Weyl-word guard {WEYL_LENGTH_GUARD}"
         )
+    alternating = _LETTERS * (max_length // 2 + 1)  # w w' w w' ...: max_length + 1 or more
     words = [ReducedWeylWord(())]
     for k in range(1, max_length + 1):
-        for first in _LETTERS:
-            letters = tuple(_LETTERS[(_LETTERS.index(first) + i) % 2] for i in range(k))
-            words.append(ReducedWeylWord(letters))
+        words += ReducedWeylWord(alternating[:k]), ReducedWeylWord(alternating[1:k + 1])
     return words
 
 
@@ -199,9 +219,11 @@ def weyl_partial_sum(q, max_length: int) -> Fraction:
     of the distinguished Steinberg matrix coefficient is its limit.  The terms
     are added over their common denominator q^L, as s = sum_{k=1..L} q^(L-k),
     so each step multiplies by q and adds 1, and one Fraction is built at the end.
+    TooLarge when q^L has more than RESULT_DIGIT_GUARD digits.
     """
     n = as_prime_power(q).q
     _check_length(max_length)
+    _check_digits(n, max_length)
     s = 0
     for _ in range(max_length):
         s = s * n + 1
@@ -230,12 +252,10 @@ HaarVolumes = namedtuple("HaarVolumes", "vol_IZ vol_KZ")
 
 
 def _vol_KZ(q: int, norm: HaarNormalization) -> Fraction:
-    if norm is HaarNormalization.IWAHORI_ONE:
+    if norm in (HaarNormalization.IWAHORI_ONE, HaarNormalization.K_Q_PLUS_ONE):
         return Fraction(q + 1)
     if norm is HaarNormalization.K_ONE:
         return Fraction(1)
-    if norm is HaarNormalization.K_Q_PLUS_ONE:
-        return Fraction(q + 1)
     return Fraction(q - 1, 2)
 
 
@@ -393,12 +413,14 @@ def jl_formal_dim(p: int, cls: JLClass) -> int:
         (p+1) p^((j-2)/2)      ramified cuspidal,   j = 2, 4, 6, ...
 
     Only prime residue orders are supported here (the table is stated over Q_p).
+    TooLarge when its power of p has more than RESULT_DIGIT_GUARD digits.
     """
     _check_jl_prime(p)
     return _jl_formal_dim(p, cls)
 
 
 def _check_jl_prime(p: int) -> None:
+    _check_prime_bits(p, "p")
     if not is_prime(p):
         raise NotPrime(f"the formal-dimension table needs a prime p, got {p}")
     if p == 2:
@@ -410,5 +432,7 @@ def _jl_formal_dim(p: int, cls: JLClass) -> int:
     if cls.tag is JLTag.GENERALIZED_SPECIAL:
         return 1
     if cls.tag is JLTag.UNRAMIFIED_CUSPIDAL:
+        _check_digits(p, cls.conductor - 1)
         return 2 * p ** (cls.conductor - 1)
+    _check_digits(p, cls.conductor // 2)
     return (p + 1) * p ** ((cls.conductor - 2) // 2)

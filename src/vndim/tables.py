@@ -8,9 +8,10 @@ output is byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .errors import NoSuchLattice, UnknownTable
+from .errors import NoSuchLattice, TooLarge, UnknownTable
 from .finite_field import as_prime_power
 from .fuchsian import FREE_CONGRUENCE_CHAIN, catalog, covolume, vn_dimension
 from .padic import (
@@ -28,36 +29,43 @@ from .padic import (
 
 Table = namedtuple("Table", "name columns rows")
 
+#: Table-size guards: build_table refuses a hecke, padic or jl table that would
+#: walk more than TABLE_ROW_GUARD rows, and jl_table, whose rows lengthen, a
+#: table of more than about TABLE_DIGIT_GUARD digits in all.  A CLI query at
+#: either bound takes about 1 s.
+TABLE_ROW_GUARD = 10_000
+TABLE_DIGIT_GUARD = 2 * 10**6
 
-def hecke_table(q_max: int) -> Table:
+
+def hecke_table(q_max: int) -> tuple:
     """Triangle-group lattices H_q (signature (0; 2, q; 1)) with their covolumes."""
+    if q_max < 3:
+        raise UnknownTable(f"hecke table needs qmax >= 3, got {q_max}")
     rows = []
     for q in range(3, q_max + 1):
         sig = catalog(f"H{q}")
         rows.append((f"H{q}", str(sig), covolume(sig)))
-    return Table(f"hecke:{q_max}", ("group", "signature", "covolume"), rows)
+    return ("group", "signature", "covolume"), rows
 
 
-def free_congruence_table() -> Table:
+def free_congruence_table() -> tuple:
     """The congruence chain of free lattices with signatures and covolumes."""
     rows = []
     for name, rank in FREE_CONGRUENCE_CHAIN:
         sig = catalog(name)
         rows.append((name, str(sig), rank, covolume(sig)))
-    return Table(
-        "free-congruence", ("group", "signature", "free_rank", "covolume"), rows
-    )
+    return ("group", "signature", "free_rank", "covolume"), rows
 
 
-def vn_free_table(m: int) -> Table:
+def vn_free_table(m: int) -> tuple:
     """Von Neumann dimensions of the parameter-m discrete series over the chain."""
     rows = []
     for name, rank in FREE_CONGRUENCE_CHAIN:
         rows.append((name, rank, vn_dimension(catalog(name), m)))
-    return Table(f"vn-free:{m}", ("group", "free_rank", "vn_dim"), rows)
+    return ("group", "free_rank", "vn_dim"), rows
 
 
-def padic_table(q: int, n_max: int) -> Table:
+def padic_table(q: int, n_max: int) -> tuple:
     """Free lattices in PGL(2,F) up to rank n_max with covolumes (K=1) and the
     von Neumann dimensions of the two computable square-integrable series."""
     pp = as_prime_power(q)
@@ -78,16 +86,16 @@ def padic_table(q: int, n_max: int) -> Table:
                 ),
             )
         )
-    return Table(
-        f"padic:{q}:{n_max}",
-        ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal"),
-        rows,
-    )
+    return ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal"), rows
 
 
-def jl_table(p: int, j_max: int) -> Table:
+def jl_table(p: int, j_max: int) -> tuple:
     """Formal dimensions of discrete-series classes, Steinberg normalized to 1."""
     _check_jl_prime(p)
+    digits = math.log10(p) * (5 * j_max * j_max // 8)  # about, over every row
+    if digits > TABLE_DIGIT_GUARD:
+        raise TooLarge(f"table of about {digits:.0f} digits exceeds table-digit guard "
+                       f"{TABLE_DIGIT_GUARD}")
     rows = [("special", "-", _jl_formal_dim(p, JLClass(JLTag.GENERALIZED_SPECIAL)))]
     for j in range(1, j_max + 1):
         rows.append(
@@ -95,31 +103,40 @@ def jl_table(p: int, j_max: int) -> Table:
         )
     for j in range(2, j_max + 1, 2):
         rows.append(("ram", j, _jl_formal_dim(p, JLClass(JLTag.RAMIFIED_CUSPIDAL, j))))
-    return Table(f"jl:{p}:{j_max}", ("class", "conductor", "formal_dim"), rows)
+    return ("class", "conductor", "formal_dim"), rows
+
+
+#: Table name head -> (builder, its parameter names, the number of rows it walks
+#: for given arguments, or None for a fixed handful).  A builder returns
+#: (columns, rows), and build_table names the Table "<head>:<argument>:...".
+TABLES = {
+    "hecke": (hecke_table, ("qmax",), lambda q_max: q_max - 2),
+    "free-congruence": (free_congruence_table, (), None),
+    "vn-free": (vn_free_table, ("m",), None),
+    "padic": (padic_table, ("q", "nmax"), lambda q, n_max: n_max - 1),
+    "jl": (jl_table, ("p", "jmax"), lambda p, j_max: 1 + j_max + j_max // 2),
+}
+
+#: The form of every valid table name: its head, then ":<param>" for each parameter.
+TABLE_NAMES = tuple(head + "".join(f":<{param}>" for param in params)
+                    for head, (_, params, _) in TABLES.items())
 
 
 def build_table(name: str) -> Table:
-    """Dispatch "hecke:<qmax>", "free-congruence", "vn-free:<m>", "padic:<q>:<nmax>",
-    "jl:<p>:<jmax>" to the matching builder."""
+    """Build the table that ``name`` names (see TABLES) from its integer parameters;
+    TooLarge when it would walk more than TABLE_ROW_GUARD rows."""
     head, _, params_text = name.partition(":")
     params = params_text.split(":") if params_text else []
+    if head not in TABLES or len(params) != len(TABLES[head][1]):
+        raise UnknownTable(f"unknown table {name!r}; valid names: {', '.join(TABLE_NAMES)}")
+    builder, _, size = TABLES[head]
     try:
-        if head == "hecke" and len(params) == 1:
-            q_max = int(params[0])
-            if q_max < 3:
-                raise UnknownTable(f"hecke table needs qmax >= 3, got {q_max}")
-            return hecke_table(q_max)
-        if head == "free-congruence" and not params:
-            return free_congruence_table()
-        if head == "vn-free" and len(params) == 1:
-            return vn_free_table(int(params[0]))
-        if head == "padic" and len(params) == 2:
-            return padic_table(int(params[0]), int(params[1]))
-        if head == "jl" and len(params) == 2:
-            return jl_table(int(params[0]), int(params[1]))
+        args = [int(param) for param in params]
     except ValueError:
         raise UnknownTable(f"malformed table name {name!r}") from None
-    raise UnknownTable(
-        f"unknown table {name!r}; valid names: hecke:<qmax>, free-congruence, "
-        "vn-free:<m>, padic:<q>:<nmax>, jl:<p>:<jmax>"
-    )
+    if size and size(*args) > TABLE_ROW_GUARD:
+        raise TooLarge(f"table {name!r} would have up to {size(*args)} rows, more than "
+                       f"the table-row guard {TABLE_ROW_GUARD}")
+    # Looked up by name, so that a patched module attribute takes effect here.
+    columns, rows = globals()[builder.__name__](*args)
+    return Table(head + "".join(f":{arg}" for arg in args), columns, rows)

@@ -178,3 +178,13 @@ def test_cli_import_does_not_load_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_does_not_load_typing():
+    # -I ignores PYTHONPATH, so the source directory goes on sys.path by hand.
+    src = str(Path(vndim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import vndim.cli; "
+            "print('typing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
