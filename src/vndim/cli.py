@@ -7,8 +7,9 @@ Usage shape:
 
 Each group and verb is described once, in the ordered registry ``OPERATIONS``;
 ``build_parser`` walks it and ``main`` runs every verb through one handler.
-Each call builds the parser afresh, with every group's name but only the verbs
-and flags of the group its first word names (all of them when it names none).
+Each call builds afresh only the part of the parser its first two words reach:
+the group the first names and the verb, with its flags, the second names (every
+choice at a level whose word names none, as ``--help``, ``--`` or a typo).
 
 Exit codes: 0 success, 1 usage error (unknown verb, malformed primitive flag),
 2 domain error (NoOccurrence, NoSuchLattice, parity violations, ...).
@@ -331,25 +332,26 @@ OPERATIONS = (
 # -- parser construction and dispatch ----------------------------------------------
 
 
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The argparse tree: every group's name and help line, but the verbs and
-    flags of ``group`` alone when it names one (argparse never abbreviates a
-    subcommand, so no other group's verb is reachable), else of every group."""
+def build_parser(group: str | None = None, verb: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree, or the part of it a command line opening with ``group``
+    and ``verb`` reaches: that group alone when ``group`` names one, and then that
+    verb alone, with its flags, when ``verb`` names one of the group's verbs.  The
+    output is the whole tree's, since argparse never abbreviates a subcommand and
+    the usage lines show GROUP and VERB, not their choices."""
     parser = argparse.ArgumentParser(
         prog="vndim",
         description="Exact covolumes, cusp-form dimensions, formal dimensions, and "
         "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F).",
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-    named = group in {op.group for op in OPERATIONS}
+    known = {(op.group, op.verb) for op in OPERATIONS}
+    group = group if (group, None) in known else None
+    verb = verb if (group, verb) in known else None
     for op in OPERATIONS:
-        if op.verb is None:
-            p = groups.add_parser(op.group, help=op.help)
-        if named and op.group != group:  # another group: its name and help line suffice
-            continue
-        if op.verb is not None:
-            p = verbs.add_parser(op.verb, help=op.help)
-        elif op.fn is None:  # a group of verbs: they follow it in the registry
+        if group and op.group != group or verb and op.verb not in (None, verb):
+            continue  # not reachable, and listed by no message on this path
+        p = (groups if op.verb is None else verbs).add_parser(op.verb or op.group, help=op.help)
+        if op.fn is None:  # a group of verbs: they follow it in the registry
             verbs = p.add_subparsers(dest="verb", required=True, metavar="VERB")
             continue
         p.set_defaults(op=op)
@@ -361,7 +363,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(*argv[:2])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; the CLI contract wants 1

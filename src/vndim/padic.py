@@ -109,13 +109,13 @@ def _abs_from_valuation(v, p: int) -> Fraction:
 
 
 def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
-    """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity."""
+    """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity.
+
+    Since |x|_p = p^(-v(x)) falls as v(x) rises, this compares valuations:
+    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.
+    """
     _check_prime(p)
-
-    def abs_p(x):
-        return _abs_from_valuation(_valuation(x, p), p)
-
-    return abs_p(Fraction(r) + Fraction(s)) <= max(abs_p(r), abs_p(s))
+    return _valuation(Fraction(r) + Fraction(s), p) >= min(_valuation(r, p), _valuation(s, p))
 
 
 # -- quadratic extension level arithmetic -------------------------------------

@@ -1,14 +1,19 @@
 import argparse
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vndim import cli
-from vndim.cli import OPERATIONS, main
+from vndim.cli import COMMON, OPERATIONS, main
 from vndim.exact import PiRational, int_text, parse_pi_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -411,18 +416,19 @@ def test_composite_with_ten_digit_factors_exits_two(capsys):
     assert err == f"error: NotPrimePower: {q} is not a prime power\n"
 
 
-# -- each call builds only the invoked group's verbs --------------------------------
+# -- each call builds only the invoked group and verb --------------------------------
 
 NODES = [[]] + [[op.group] + ([op.verb] if op.verb else []) for op in OPERATIONS]
 
 
-@pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]], ids=["help", "bare", "bad-flag"])
+@pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"], ["-h", "x"], ["--format", "xml"]],
+                         ids=["help", "bare", "bad-flag", "help-x", "bad-format"])
 @pytest.mark.parametrize("node", NODES, ids=lambda node: " ".join(["vndim"] + node))
 def test_group_parser_output_matches_the_whole_tree(capsys, monkeypatch, node, tail):
     monkeypatch.setenv("COLUMNS", "80")
     narrow = run_cli(capsys, *node, *tail)
     whole_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda group=None: whole_tree())
+    monkeypatch.setattr(cli, "build_parser", lambda *words: whole_tree())
     assert run_cli(capsys, *node, *tail) == narrow
 
 
@@ -438,27 +444,101 @@ def _verbs(group):
 
 def test_group_parser_holds_only_its_own_verbs():
     groups = _subcommands(cli.build_parser("fuchsian"))
-    assert list(groups) == ["exact", "fuchsian", "factor", "ff", "padic", "table"]
+    assert list(groups) == ["fuchsian"]
     assert list(_subcommands(groups["fuchsian"])) == _verbs("fuchsian")
-    for name, parser in groups.items():
-        if name != "fuchsian":  # the name and help line only: no verb, no flag
-            assert [action.dest for action in parser._actions] == ["help"], name
+    # a second word that names one of the group's verbs gets that verb alone
+    groups = _subcommands(cli.build_parser("fuchsian", "vndim"))
+    assert list(groups) == ["fuchsian"]
+    verbs = _subcommands(groups["fuchsian"])
+    assert list(verbs) == ["vndim"]
+    flags = [flag for action in verbs["vndim"]._actions for flag in action.option_strings]
+    assert flags == ["-h", "--help", "--format", "--ascii", "--sig", "--m", "--mode"]
+    # a second word that names no verb of the group gets all of them
+    for word in ("--help", "-h", "vnd", "covolume ", "nosuch"):
+        groups = _subcommands(cli.build_parser("padic", word))
+        assert list(groups) == ["padic"]
+        assert list(_subcommands(groups["padic"])) == _verbs("padic")
     # a first word that names no group gets every group's verbs
     for word in (None, "--help", "fuch", "nosuch"):
         groups = _subcommands(cli.build_parser(word))
+        assert list(groups) == ["exact", "fuchsian", "factor", "ff", "padic", "table"]
         assert list(_subcommands(groups["padic"])) == _verbs("padic")
         assert [action.dest for action in groups["table"]._actions][-1] == "name"
+        assert _subcommands(cli.build_parser(word, "vndim")).keys() == groups.keys()
 
 
-def test_main_reads_sys_argv_and_builds_its_first_word(capsys, monkeypatch):
+def test_main_reads_sys_argv_and_builds_its_first_two_words(capsys, monkeypatch):
     built, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda group=None: built.append(group) or build(group))
+    monkeypatch.setattr(cli, "build_parser", lambda *words: built.append(words) or build(*words))
     monkeypatch.setattr(sys, "argv", ["vndim", "fuchsian", "vndim", "--sig", "0;-;3", "--m", "5"])
     assert main() == 0
     assert capsys.readouterr().out == "5/2\n"
     monkeypatch.setattr(sys, "argv", ["vndim"])
     assert main() == 1
-    assert built == ["fuchsian", None]
+    assert built == [("fuchsian", "vndim"), ()]
+
+
+# -- fuzz: any command line ends as the whole tree ends it ---------------------------------
+
+GROUPS = [op.group for op in OPERATIONS if op.verb is None]
+#: Stray words: every group and verb name (so verbs of the wrong group), and non-names.
+WORDS = GROUPS + sorted({op.verb for op in OPERATIONS if op.verb}) + [
+    "nosuch", "fuch", "Padic", "-h", "--help", "--", "-x", ""]
+FLAGS = sorted({param.flag for op in OPERATIONS for param in COMMON + op.params
+                if param.flag.startswith("--")})
+#: Flag values, in domain and out of it, well formed and malformed.
+VALUES = ["3", "5", "9", "4", "2", "1", "0", "-1", "27", "x", "", " 7", "3.5", "1/0", "-2/9",
+          "5/(4*pi)", "pi", "2*pi", "1e3", "1e999999", "99999999999999999999",
+          '{"num": 1, "den": 2, "pi_exp": 1}', "{", "0;-;3", "1;2,3;0", "0;2,3,7;0", "0;;",
+          "H3", "Gamma0(4)", "unram:j=1", "ram:j=2", "ram:j=3", "special", "trivial", "sign",
+          "psl", "sl", "iwahori1", "k1", "khalf", "steinberg", "cuspidal", "free-congruence",
+          "padic:3:4", "jl:3:5", "hecke:5", "hecke:x", "padic:4:1"]
+#: Time budget of one command line, far above what any of them takes.
+FUZZ_BUDGET_S = 2.0
+
+
+@st.composite
+def flag_tokens(draw):
+    """A registry flag, whole or abbreviated, with a value in --f=v or --f v form or none."""
+    flag = draw(st.sampled_from(FLAGS))
+    flag = flag[:draw(st.integers(3, len(flag)))]
+    value = draw(st.sampled_from(VALUES))
+    return draw(st.sampled_from([[f"{flag}={value}"], [flag, value], [flag]]))
+
+
+@st.composite
+def command_lines(draw):
+    argv = [draw(st.sampled_from(GROUPS) | st.sampled_from(WORDS))]
+    if _verbs(argv[0]):
+        argv.append(draw(st.sampled_from(_verbs(argv[0])) | st.sampled_from(WORDS)))
+    tokens = flag_tokens() | st.sampled_from([[word] for word in WORDS + VALUES]) | st.tuples(
+        st.just("--format"), st.sampled_from(["text", "json", "csv", "xml", ""])).map(list)
+    for token in draw(st.lists(tokens, max_size=6)):
+        argv += token
+    return argv
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process call, and its wall time."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return (code, out.getvalue(), err.getvalue()), time.perf_counter() - start
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_fuzzed_command_lines_end_as_the_whole_tree_ends_them(argv):
+    first, seconds = run_captured(argv)
+    assert seconds < FUZZ_BUDGET_S, argv
+    code, out, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert run_captured(argv)[0] == first  # the same bytes again
+    whole_tree = cli.build_parser
+    with mock.patch.object(cli, "build_parser", lambda *words: whole_tree()):
+        assert run_captured(argv)[0] == first
 
 
 # -- results longer than the interpreter's int-to-str digit limit ----------------------

@@ -105,6 +105,28 @@ def test_sharp_ultrametric_when_values_differ():
                 assert padic_abs(r + s, p) == max(padic_abs(r, p), padic_abs(s, p))
 
 
+def fraction_ultrametric_check(r, s, p):
+    """Oracle: the inequality on absolute values, each p^(-v) an exact Fraction."""
+    return padic_abs(Fraction(r) + Fraction(s), p) <= max(padic_abs(r, p), padic_abs(s, p))
+
+
+def test_ultrametric_check_matches_the_absolute_value_form():
+    rng = random.Random(3)
+    pairs = [(random_rational(rng), random_rational(rng)) for _ in range(300)]
+    pairs += [(0, 0), (Fraction(0), Fraction(5, 9)), (Fraction(7, 3), 0),  # zero
+              (Fraction(7, 9), Fraction(-7, 9)), (-12, 12),  # r = -s
+              (2, 3), (9, -3), (1, Fraction(1, 3)), (27, 54)]  # integers
+    for p in (2, 3, 5, 7, 11):
+        for r, s in pairs:
+            assert ultrametric_check(r, s, p) == fraction_ultrametric_check(r, s, p), (r, s, p)
+    # the valuation form is the same inequality, also where it fails: p^(-v) falls as v rises
+    for _ in range(300):
+        x, r, s, p = (random_rational(rng), random_rational(rng), random_rational(rng),
+                      rng.choice((2, 3, 5)))
+        by_valuation = padic_valuation(x, p) >= min(padic_valuation(r, p), padic_valuation(s, p))
+        assert by_valuation == (padic_abs(x, p) <= max(padic_abs(r, p), padic_abs(s, p)))
+
+
 # -- extension levels --------------------------------------------------------------
 
 
@@ -202,6 +224,44 @@ def test_weyl_partial_sum_matches_a_fraction_by_fraction_sum():
     for q in (3, 5, 7, 9, 25):
         for L in range(0, 61):
             assert weyl_partial_sum(q, L) == fraction_by_fraction_weyl_sum(q, L), (q, L)
+
+
+def tree_chamber_counts(q, max_distance):
+    """Oracle: n_k, the chambers of the (q+1)-regular tree at gallery distance k
+    from a base chamber, for k <= max_distance, by breadth-first search.
+
+    A vertex is its path of child labels from a root, which has q + 1 children
+    while every other vertex has q; a chamber (edge) is named by its lower vertex.
+    Two chambers are adjacent when they share a vertex.
+    """
+
+    def adjacent(v):
+        parent = v[:-1]
+        above = [parent] if parent else []  # the chamber above the upper vertex
+        siblings = [parent + (c,) for c in range(q if parent else q + 1) if c != v[-1]]
+        return above + siblings + [v + (c,) for c in range(q)]
+
+    seen, frontier, counts = {(0,)}, [(0,)], [1]
+    for _ in range(max_distance):
+        reached = []
+        for chamber in frontier:
+            for c in adjacent(chamber):
+                if c not in seen:
+                    seen.add(c)
+                    reached.append(c)
+        frontier = reached
+        counts.append(len(frontier))
+    return counts
+
+
+@pytest.mark.parametrize("q, max_length", [(3, 6), (5, 4), (7, 3), (9, 3)])
+def test_weyl_partial_sum_matches_a_chamber_count_of_the_tree(q, max_length):
+    # each word w of length k contributes |IwI/I| = q^k chambers at gallery distance k,
+    # so sum_w q^(-l(w)) = sum_k n_k q^(-2k)
+    counts = tree_chamber_counts(q, max_length)
+    assert counts == [1] + [2 * q**k for k in range(1, max_length + 1)]
+    assert 2 * sum(Fraction(n, q ** (2 * k)) for k, n in enumerate(counts)) == weyl_partial_sum(
+        q, max_length)
 
 
 def test_weyl_enumeration_refuses_past_the_guard():
@@ -359,6 +419,14 @@ def test_jl_agrees_with_direct_depth_zero_computation():
     for p in (3, 5, 7, 11, 13):
         assert jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 1)) == 2
         assert depth_zero_formal_dim(p, HaarNormalization.K_HALF_Q_MINUS_ONE) == 2
+
+
+def test_jl_conductor_one_is_depth_zero_over_steinberg_under_every_normalization():
+    # a ratio of formal dimensions does not depend on the Haar measure
+    for p in (3, 5, 7, 11, 13):
+        for norm in ALL_NORMS:
+            ratio = depth_zero_formal_dim(p, norm) / steinberg_formal_dim(p, norm)
+            assert jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 1)) == ratio, (p, norm)
 
 
 def test_jl_class_parsing():
