@@ -239,7 +239,7 @@ def _catalog(name: str) -> dict:
 
 def _valuation(r: Fraction, p: int) -> dict:
     v = padic.padic_valuation(r, p)  # tests p once for both entries
-    return {"valuation": v, "abs": padic._abs_from_valuation(v, p)}
+    return {"valuation": v, "abs": padic.abs_from_valuation(v, p)}
 
 
 def _lattice(q: int, n: int) -> dict:

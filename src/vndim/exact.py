@@ -41,13 +41,19 @@ def _digits(n: int, width: int) -> str:
 
 
 class PiRational:
-    """An exact value coeff * pi^pi_exp, canonical: coeff == 0 forces pi_exp == 0."""
+    """An exact value coeff * pi^pi_exp, canonical: coeff == 0 forces pi_exp == 0.
+
+    ``coeff`` is always a plain ``Fraction``: a plain ``Fraction`` is stored as
+    given, not copied (it is immutable); anything else, a subclass included, is
+    converted by ``Fraction()``.
+    """
 
     __slots__ = ("coeff", "pi_exp")
 
     def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if not coeff:
             pi_exp = 0
         if pi_exp not in (-1, 0, 1):
             raise ExponentOverflow(f"pi exponent {pi_exp} outside supported range [-1, 1]")

@@ -393,16 +393,6 @@ def restricts_to(q, a: int, nu: int) -> bool:
     return a % (n - 1) == nu % (n - 1)
 
 
-def factors_through_norm(q, a: int) -> bool:
-    """Whether the index-a character factors through the norm to F_q^x.
-
-    That happens exactly when the character kills the norm kernel, the order
-    q+1 subgroup, i.e. when q+1 divides a.
-    """
-    n = as_prime_power(q).q
-    return a % (n + 1) == 0
-
-
 def count_regular_characters(q, nu: int) -> int:
     """Closed form for the number of regular characters restricting to nu.
 

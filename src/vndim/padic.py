@@ -98,11 +98,11 @@ def _valuation(r: Fraction, p: int):
 def padic_abs(r: Fraction, p: int) -> Fraction:
     """|r|_p = p^(-v(r)) as an exact rational, with |0|_p = 0."""
     _check_prime(p)
-    return _abs_from_valuation(_valuation(r, p), p)
+    return abs_from_valuation(_valuation(r, p), p)
 
 
-def _abs_from_valuation(v, p: int) -> Fraction:
-    """p^(-v) as an exact rational, and 0 for v = +inf."""
+def abs_from_valuation(v, p: int) -> Fraction:
+    """p^(-v) as an exact rational, and 0 for v = +inf: |r|_p from v = v(r)."""
     if math.isinf(v):
         return Fraction(0)
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
@@ -112,10 +112,16 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity.
 
     Since |x|_p = p^(-v(x)) falls as v(x) rises, this compares valuations:
-    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.
+    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.  Ints and Fractions are
+    added as they are; anything else is converted by Fraction() first, so that
+    a str is parsed, not concatenated, and a float is added without rounding.
     """
     _check_prime(p)
-    return _valuation(Fraction(r) + Fraction(s), p) >= min(_valuation(r, p), _valuation(s, p))
+    if isinstance(r, (int, Fraction)) and isinstance(s, (int, Fraction)):
+        total = r + s
+    else:
+        total = Fraction(r) + Fraction(s)
+    return _valuation(total, p) >= min(_valuation(r, p), _valuation(s, p))
 
 
 # -- quadratic extension level arithmetic -------------------------------------
@@ -169,6 +175,11 @@ class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
 
     def __init__(self, letters=()):
         letters = self.letters
+        # A reduced word alternates from its first letter: one tuple compare in C
+        # accepts it; only a refused word is scanned, for its error message.
+        first = letters[:1] == _LETTERS[1:]  # 1 when the word opens with w'
+        if letters == (_LETTERS * (len(letters) // 2 + 1))[first:first + len(letters)]:
+            return
         for letter in letters:
             if letter not in _LETTERS:
                 raise ValueError(f"letters must be 'w' or \"w'\", got {letter!r}")
@@ -284,16 +295,6 @@ def depth_zero_formal_dim(q, norm: HaarNormalization) -> Fraction:
     """
     n = as_prime_power(q).q
     return Fraction(n - 1) / _vol_KZ(n, norm)
-
-
-def cms_steinberg_check(q, n: int = 2) -> Fraction:
-    """Independent closed form (1/n) * prod_{k=1..n-1} (q^k - 1) for the Steinberg
-    formal degree of GL(n,F) under vol(K.Z/Z) = 1; n = 2 is the case used here."""
-    m = as_prime_power(q).q
-    prod = 1
-    for k in range(1, n):
-        prod *= m**k - 1
-    return Fraction(prod, n)
 
 
 # -- lattices ------------------------------------------------------------------

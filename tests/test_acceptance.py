@@ -40,7 +40,6 @@ from vndim.padic import (
     JLClass,
     JLTag,
     PadicRep,
-    cms_steinberg_check,
     depth_zero_formal_dim,
     jl_formal_dim,
     padic_abs,
@@ -52,6 +51,8 @@ from vndim.padic import (
     weyl_length_histogram,
     weyl_partial_sum,
 )
+
+from oracles import cms_steinberg_check
 
 GOLDEN = Path(__file__).parent / "golden"
 

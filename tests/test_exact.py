@@ -52,6 +52,29 @@ def test_zero_is_canonical():
     assert z == PiRational(0) and z.pi_exp == 0
 
 
+class FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value", [3, -2, True, False, "5/7", "-0", 0.5,
+                                   FractionSubclass(4, 6), FractionSubclass(0)])
+def test_coefficient_is_always_a_plain_fraction(value):
+    for pi_exp in (-1, 0, 1):
+        coeff = PiRational(value, pi_exp).coeff
+        assert type(coeff) is Fraction and coeff == Fraction(value)
+
+
+def test_fraction_coefficient_is_stored_as_given():
+    value = Fraction(-3, 8)
+    assert PiRational(value, 1).coeff is value
+
+
+@pytest.mark.parametrize("zero", [0, False, "0", 0.0, Fraction(0), FractionSubclass(0)])
+def test_zero_coefficient_stores_exponent_zero_at_every_exponent(zero):
+    for pi_exp in (-3, -1, 0, 1, 2):
+        assert PiRational(zero, pi_exp).pi_exp == 0
+
+
 def test_compare_like_terms():
     assert PiRational(2, 1).compare(PiRational(4, 1)) == -1
     assert PiRational(Fraction(1, 4)).compare(PiRational(Fraction(1, 4))) == 0

@@ -10,7 +10,6 @@ from vndim.finite_field import (
     brute_force_regular_characters,
     count_regular_characters,
     enumerate_gl2,
-    factors_through_norm,
     FIELD_GUARD,
     field_model,
     finite_rep_dims,
@@ -23,6 +22,8 @@ from vndim.finite_field import (
 )
 from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
 from vndim.tables import build_table
+
+from oracles import factors_through_norm
 
 SMALL_Q = (3, 5, 7, 9)
 

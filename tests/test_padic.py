@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vndim.cli import main
 from vndim.errors import (
@@ -24,7 +26,6 @@ from vndim.padic import (
     JLTag,
     PadicRep,
     ReducedWeylWord,
-    cms_steinberg_check,
     depth_zero_formal_dim,
     extension_level_arithmetic,
     haar_volumes,
@@ -43,6 +44,8 @@ from vndim.padic import (
     weyl_length_histogram,
     weyl_partial_sum,
 )
+
+from oracles import cms_steinberg_check
 
 ALL_NORMS = tuple(HaarNormalization)
 
@@ -103,6 +106,18 @@ def test_sharp_ultrametric_when_values_differ():
             s = random_rational(rng, zero_ok=False)
             if padic_abs(r, p) != padic_abs(s, p):
                 assert padic_abs(r + s, p) == max(padic_abs(r, p), padic_abs(s, p))
+
+
+@pytest.mark.parametrize("r, s, p", [
+    ("1/3", "2/3", 3), ("7/9", "-7/9", 3), ("5", "1/5", 5),  # str: never concatenated
+    (2, 3, 3), (9, -3, 3), (0, 0, 5), (True, True, 2),  # int and bool
+    (0.5, 0.25, 2), (0.1, 0.2, 5),
+    # As floats, 3 * 2^53 + 3 rounds to 3 * 2^53 + 4, which 3 does not divide.
+    (3 * 2.0**53, 3.0, 3),
+    (Decimal("0.2"), Decimal("0.05"), 5),
+])
+def test_ultrametric_check_adds_str_and_float_inputs_exactly(r, s, p):
+    assert ultrametric_check(r, s, p) is True
 
 
 def fraction_ultrametric_check(r, s, p):
@@ -204,6 +219,45 @@ def test_reduced_word_invariants():
         ReducedWeylWord(("w", "w"))
     with pytest.raises(ValueError):
         ReducedWeylWord(("x",))
+
+
+def letter_scan_refusal(letters):
+    """The letter-by-letter check of a reduced word: None when ``letters`` is a
+    reduced word, else the message of the ValueError that refuses it."""
+    for letter in letters:
+        if letter not in ("w", "w'"):
+            return f"letters must be 'w' or \"w'\", got {letter!r}"
+    for left, right in zip(letters, letters[1:]):
+        if left == right:
+            return f"word {letters} is not reduced"
+    return None
+
+
+def assert_word_checked_as_the_letter_scan_checks(letters):
+    refusal = letter_scan_refusal(letters)
+    if refusal is None:
+        assert ReducedWeylWord(letters).letters == letters
+    else:
+        with pytest.raises(ValueError) as refused:
+            ReducedWeylWord(letters)
+        assert str(refused.value) == refusal
+
+
+WEYL_TEST_LETTERS = ("w", "w'", "x", "")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(WEYL_TEST_LETTERS), max_size=12).map(tuple))
+def test_reduced_word_accepts_exactly_what_the_letter_scan_accepts(letters):
+    assert_word_checked_as_the_letter_scan_checks(letters)
+
+
+def test_reduced_word_check_on_every_short_word_and_every_reduced_one():
+    for length in range(6):
+        for letters in product(WEYL_TEST_LETTERS, repeat=length):
+            assert_word_checked_as_the_letter_scan_checks(letters)
+    for word in weyl_enumerate(12):  # the 25 reduced words, each accepted
+        assert_word_checked_as_the_letter_scan_checks(word.letters)
 
 
 def test_weyl_partial_sums():
