@@ -68,12 +68,8 @@ class PiRational:
     def __mul__(self, other: "PiRational | Fraction | int") -> "PiRational":
         if not isinstance(other, PiRational):
             other = PiRational(other)
-        exp = self.pi_exp + other.pi_exp
-        if exp not in (-1, 0, 1):
-            raise ExponentOverflow(
-                f"product pi exponent {exp} outside supported range [-1, 1]"
-            )
-        return PiRational(self.coeff * other.coeff, exp)
+        # The constructor checks the exponent: a zero factor is stored with exponent 0.
+        return PiRational(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
 
     __rmul__ = __mul__
 

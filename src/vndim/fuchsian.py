@@ -208,7 +208,6 @@ def two_lattice_vn_dimension(
     the series does not occur, NoOccurrence is raised carrying the smallest
     parameter that does.
     """
-    _check_parameter(m, GroupMode.PSL2R)
     if discrete_series_multiplicity(sig1, m) < 1:
         minimal = minimal_discrete_series_weight(sig1)
         raise NoOccurrence(
@@ -228,11 +227,10 @@ _CONGRUENCE_CATALOG = {
 }
 
 #: The free-group congruence chain, ambient first; entry = (name, free rank).
-FREE_CONGRUENCE_CHAIN = (
-    ("Gamma0(4)", 2),
-    ("Gamma0(4)capGamma(2)", 3),
-    ("Gamma(4)", 5),
-)
+#: Every chain group is torsion-free (no elliptic orders), so it is free of rank
+#: 2g + h - 1.
+FREE_CONGRUENCE_CHAIN = tuple((name, 2 * sig.genus + sig.cusps - 1)
+                              for name, sig in _CONGRUENCE_CATALOG.items())
 
 
 def catalog(name: str) -> FuchsianSignature:

@@ -96,13 +96,12 @@ def jl_table(p: int, j_max: int) -> tuple:
     if digits > TABLE_DIGIT_GUARD:
         raise TooLarge(f"table of about {digits:.0f} digits exceeds table-digit guard "
                        f"{TABLE_DIGIT_GUARD}")
-    rows = [("special", "-", _jl_formal_dim(p, JLClass(JLTag.GENERALIZED_SPECIAL)))]
-    for j in range(1, j_max + 1):
-        rows.append(
-            ("unram", j, _jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, j)))
-        )
-    for j in range(2, j_max + 1, 2):
-        rows.append(("ram", j, _jl_formal_dim(p, JLClass(JLTag.RAMIFIED_CUSPIDAL, j))))
+    rows = []
+    for tag, conductors in ((JLTag.GENERALIZED_SPECIAL, (0,)),
+                            (JLTag.UNRAMIFIED_CUSPIDAL, range(1, j_max + 1)),
+                            (JLTag.RAMIFIED_CUSPIDAL, range(2, j_max + 1, 2))):
+        label = tag.value
+        rows += [(label, j or "-", _jl_formal_dim(p, JLClass(tag, j))) for j in conductors]
     return ("class", "conductor", "formal_dim"), rows
 
 

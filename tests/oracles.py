@@ -1,10 +1,13 @@
-"""Closed forms that only the tests use, as independent checks of the library.
+"""Closed forms and brute-force counts that only the tests use, as independent
+checks of the library.
 
-Neither is part of vndim: each restates a textbook fact in a few lines of
-plain integer arithmetic, so that a test can compare the library against it.
+None is part of vndim, and none imports a vndim formula: each restates a
+textbook fact in a few lines of plain integer arithmetic, so that a test can
+compare the library against it.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def cms_steinberg_check(q: int, n: int = 2) -> Fraction:
@@ -23,3 +26,54 @@ def factors_through_norm(q: int, a: int) -> bool:
     q+1 subgroup, i.e. when q+1 divides a.
     """
     return a % (q + 1) == 0
+
+
+def _mat_mul(x: tuple, y: tuple, n: int) -> tuple:
+    """The product of two 2x2 matrices (a, b, c, d) mod n."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
+
+
+def coset_signature(n: int, member) -> tuple:
+    """(mu, e2, e3, h, g) of the group of level n >= 2 in PSL(2,Z) whose image mod n
+    is the set of x = (a, b, c, d) in PSL(2, Z/n) with member(x) or member(-x).
+
+    PSL(2, Z/n) is enumerated and split into right cosets of that image; S and T
+    act on the cosets by right multiplication.  mu is the number of cosets (the
+    index), e2 the fixed points of S, e3 the fixed points of ST, h the cycles of
+    T, and g = 1 + mu/12 - e2/4 - e3/3 - h/2 the genus.
+    """
+
+    def neg(x):
+        return tuple(-v % n for v in x)
+
+    def psl(x):  # one representative of {x, -x}
+        return min(x, neg(x))
+
+    group = sorted({psl(x) for x in product(range(n), repeat=4)
+                    if (x[0] * x[3] - x[1] * x[2]) % n == 1})
+    image = [x for x in group if member(x) or member(neg(x))]
+    coset_of, reps = {}, []
+    for x in group:
+        if x not in coset_of:
+            for y in image:
+                coset_of[psl(_mat_mul(y, x, n))] = len(reps)
+            reps.append(x)
+
+    def action(m):
+        return [coset_of[psl(_mat_mul(x, m, n))] for x in reps]
+
+    s, t = (0, n - 1, 1, 0), (1, 1, 0, 1)
+    mu = len(reps)
+    e2 = sum(k == i for i, k in enumerate(action(s)))
+    e3 = sum(k == i for i, k in enumerate(action(_mat_mul(s, t, n))))
+    t_action, seen, h = action(t), set(), 0
+    for i in range(mu):
+        if i not in seen:
+            h += 1
+            while i not in seen:
+                seen.add(i)
+                i = t_action[i]
+    g = 1 + Fraction(mu, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(h, 2)
+    return mu, e2, e3, h, g

@@ -1,13 +1,17 @@
 """The documented size bounds: each refusal is a fast TooLarge (exit 2, nothing on
 stdout), and the largest allowed input still answers."""
 
+import importlib
 import math
+import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vndim
 from vndim.cli import main, render_result
 from vndim.errors import NotPrime, TooLarge
 from vndim.exact import PiRational, int_text
@@ -247,3 +251,14 @@ def test_an_unknown_enum_value_is_a_usage_error(capsys, flag, verb):
     code, out, err, _ = run_timed(capsys, *verb, flag, "bogus")
     assert (code, out) == (1, "")
     assert f"argument {flag}: invalid choice: 'bogus'" in err
+
+
+def test_too_large_docstring_lists_every_guard_at_its_value():
+    listed = set()
+    for module, name, value in re.findall(r"\* (\w+)\.(\w+) = ([^:]+):", TooLarge.__doc__):
+        live = getattr(importlib.import_module(f"vndim.{module}"), name)
+        assert eval(value.replace(" ", ""), {"__builtins__": {}}) == live, (module, name)
+        listed.add((module, name))
+    defined = {(path.stem, name) for path in Path(vndim.__file__).parent.glob("*.py")
+               for name in re.findall(r"^(\w+_GUARD) = ", path.read_text(encoding="utf-8"), re.M)}
+    assert defined and defined == listed

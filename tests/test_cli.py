@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from vndim import cli
 from vndim.cli import COMMON, OPERATIONS, main
 from vndim.exact import PiRational, int_text, parse_pi_rational
+from vndim.fuchsian import _CONGRUENCE_CATALOG
+from vndim.padic import JLTag
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -244,6 +247,22 @@ def test_readme_verb_table_matches_registry():
         elif op.params:  # `table` lists its table names instead of verbs
             registry[op.group] = op.params[0].options["help"].split(" | ")
     assert listed == list(registry.items())
+
+
+def test_help_texts_name_their_vocabularies():
+    helps = {(op.group, op.verb, param.flag): param.options.get("help")
+             for op in OPERATIONS for param in op.params}
+    named = re.findall(r'"([^"]+)"', helps["fuchsian", "catalog", "--name"])
+    assert named == ["H<q>", *_CONGRUENCE_CATALOG]
+    words = re.findall(r"\w+", helps["padic", "jl", "--cls"])
+    assert {tag.value for tag in JLTag} <= set(words)
+
+
+def test_exact_mul_exponent_overflow_message(capsys):
+    code, out, err = run_cli(capsys, "exact", "mul", "--a", "pi", "--b", "pi")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ExponentOverflow: pi exponent 2 outside supported range [-1, 1]\n"
 
 
 @pytest.mark.parametrize("blob", [

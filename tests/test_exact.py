@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -30,10 +31,16 @@ def test_mul_hand_checked_product():
     assert a * b == PiRational(Fraction(1, 4), 0)
 
 
+def overflow(exp: int) -> str:
+    """The whole of the one ExponentOverflow message, as a pattern for pytest.raises."""
+    return "^" + re.escape(f"pi exponent {exp} outside supported range [-1, 1]") + "$"
+
+
 def test_mul_exponent_overflow():
-    with pytest.raises(ExponentOverflow):
+    # A product is refused by the constructor's check, with its message.
+    with pytest.raises(ExponentOverflow, match=overflow(2)):
         PI * PI
-    with pytest.raises(ExponentOverflow):
+    with pytest.raises(ExponentOverflow, match=overflow(-2)):
         PI.inverse() * PI.inverse()
 
 
@@ -107,6 +114,8 @@ def test_compare_nonzero_unlike_terms_rejected_whatever_their_signs():
 def test_invalid_exponent_rejected():
     with pytest.raises(ExponentOverflow):
         PiRational(1, 2)
+    with pytest.raises(ExponentOverflow, match=overflow(5)):
+        PiRational.from_json_dict({"num": 1, "den": 1, "pi_exp": 5})
 
 
 def test_reduction_invariant_random_products():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from vndim.fuchsian import (
     two_lattice_vn_dimension,
     vn_dimension,
 )
+from oracles import coset_signature
 
 MODULAR = FuchsianSignature(0, (2, 3), 1)
 FREE2 = FuchsianSignature(0, (), 3)
@@ -339,3 +341,39 @@ def test_covolume_ratios_match_free_group_indices():
         ratio = covolume(sig_b).coeff / covolume(sig_a).coeff
         assert ratio == free_group_index(rank_a, rank_b)
     assert [free_group_index(2, 3), free_group_index(3, 5), free_group_index(2, 5)] == [2, 2, 4]
+
+
+# -- the chain against coset permutations ------------------------------------------
+
+#: Each chain group's image in PSL(2, Z/4), as a test on (a, b, c, d) up to sign.
+CHAIN_IMAGES = {
+    "Gamma0(4)": lambda x: x[2] == 0,
+    "Gamma0(4)capGamma(2)": lambda x: x[2] == 0 and x[1] % 2 == 0,
+    "Gamma(4)": lambda x: x == (1, 0, 0, 1),
+}
+
+
+def test_coset_oracle_on_textbook_groups():
+    # (mu, e2, e3, h, g): PSL(2,Z), Gamma0(2), Gamma0(3), Gamma0(11), Gamma(6)
+    assert coset_signature(2, lambda x: True) == (1, 1, 1, 1, 0)
+    assert coset_signature(2, lambda x: x[2] == 0) == (3, 1, 0, 2, 0)
+    assert coset_signature(3, lambda x: x[2] == 0) == (4, 0, 1, 2, 0)
+    assert coset_signature(11, lambda x: x[2] == 0) == (12, 0, 0, 2, 1)
+    assert coset_signature(6, lambda x: x == (1, 0, 0, 1)) == (72, 0, 0, 12, 1)
+
+
+def test_congruence_chain_against_coset_permutations():
+    assert [name for name, _ in FREE_CONGRUENCE_CHAIN] == list(CHAIN_IMAGES)
+    index = {}
+    for name, rank in FREE_CONGRUENCE_CHAIN:
+        mu, e2, e3, h, g = coset_signature(4, CHAIN_IMAGES[name])
+        assert (e2, e3) == (0, 0) and g.denominator == 1, name  # torsion-free, genus whole
+        assert catalog(name) == FuchsianSignature(int(g), (), h)
+        assert rank == 2 * g + h - 1
+        assert covolume(catalog(name)) == PiRational(Fraction(mu, 3), 1)
+        index[name] = mu
+    for (name, rank), (sub_name, sub_rank) in combinations(FREE_CONGRUENCE_CHAIN, 2):
+        e = Fraction(index[sub_name], index[name])
+        assert free_group_index(rank, sub_rank) == e
+        for m in (1, 3, 5, 7, 11):
+            assert vn_dimension(catalog(sub_name), m) == e * vn_dimension(catalog(name), m)
