@@ -6,13 +6,12 @@ Usage shape:
     vndim table <name>   [--format ...]
 
 Each group and verb is described once, in the ordered registry ``OPERATIONS``;
-``build_parser`` walks it and ``main`` runs every verb through one handler.
-Each call builds afresh only the part of the parser its first two words reach:
-the group the first names and the verb, with its flags, the second names (every
-choice at a level whose word names none, as ``--help``, ``--`` or a typo).
+``main`` runs every verb through one handler, and parses with the one parser that
+``build_parser`` builds afresh for the deepest node its first two words name.
 
 Exit codes: 0 success, 1 usage error (unknown verb, malformed primitive flag),
-2 domain error (NoOccurrence, NoSuchLattice, parity violations, ...).
+2 domain error (NoOccurrence, NoSuchLattice, parity violations, ...), 3 internal
+error (a fault of the program, reported as "internal error: <Type>: <message>").
 
 Exact scalars serialize to JSON as {"num": int, "den": int, "pi_exp": int} and
 render to text as "a/b", "a/b·π", "a/(b·π)" (--ascii switches π to "pi" and
@@ -332,40 +331,40 @@ OPERATIONS = (
 # -- parser construction and dispatch ----------------------------------------------
 
 
-def build_parser(group: str | None = None, verb: str | None = None) -> argparse.ArgumentParser:
-    """The argparse tree, or the part of it a command line opening with ``group``
-    and ``verb`` reaches: that group alone when ``group`` names one, and then that
-    verb alone, with its flags, when ``verb`` names one of the group's verbs.  The
-    output is the whole tree's, since argparse never abbreviates a subcommand and
-    the usage lines show GROUP and VERB, not their choices."""
-    parser = argparse.ArgumentParser(
-        prog="vndim",
-        description="Exact covolumes, cusp-form dimensions, formal dimensions, and "
-        "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F).",
-    )
-    groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-    known = {(op.group, op.verb) for op in OPERATIONS}
-    group = group if (group, None) in known else None
-    verb = verb if (group, verb) in known else None
-    for op in OPERATIONS:
-        if group and op.group != group or verb and op.verb not in (None, verb):
-            continue  # not reachable, and listed by no message on this path
-        p = (groups if op.verb is None else verbs).add_parser(op.verb or op.group, help=op.help)
-        if op.fn is None:  # a group of verbs: they follow it in the registry
-            verbs = p.add_subparsers(dest="verb", required=True, metavar="VERB")
-            continue
-        p.set_defaults(op=op)
-        for param in COMMON + op.params:
-            p.add_argument(param.flag, **param.options)
-    return parser
+def build_parser(*words: str) -> tuple[argparse.ArgumentParser, int]:
+    """The parser the whole tree holds for the deepest node that the opening ``words`` name,
+    and how many words it consumes: 2 for a verb, 1 for ``table`` or a group, 0 for the root."""
+    nodes = {(op.group, op.verb): op for op in OPERATIONS}
+    node = nodes.get(words[:2]) or nodes.get(words[:1] + (None,))
+    depth = 0 if node is None else 2 if node.verb else 1
+    parser = argparse.ArgumentParser(prog=" ".join(("vndim",) + words[:depth]), description=(
+        None if node else "Exact covolumes, cusp-form dimensions, formal dimensions, and "
+        "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F)."))
+    _fill(parser, node)
+    return parser, depth
+
+
+def _fill(parser: argparse.ArgumentParser, node: Op | None) -> None:
+    """Give ``parser`` the flags of operation ``node``, or its children as subcommands."""
+    if node and node.fn:
+        parser.set_defaults(op=node)
+        for param in COMMON + node.params:
+            parser.add_argument(param.flag, **param.options)
+        return
+    children = parser.add_subparsers(required=True, metavar="VERB" if node else "GROUP")
+    for op in OPERATIONS:  # a group's verbs, or the root's groups
+        if (op.group == node.group and op.verb) if node else op.verb is None:
+            _fill(children.add_parser(op.verb or op.group, help=op.help), op)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(*argv[:2])
+    parser, depth = build_parser(*argv[:2])
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv[depth:])
+        if rest:  # left over: the whole tree refuses them, in the root's words
+            args = build_parser()[0].parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; the CLI contract wants 1
         return 1 if exc.code else 0
     op = args.op
@@ -376,9 +375,10 @@ def main(argv=None) -> int:
     try:
         result = fn(*(param.convert(getattr(args, param.dest), args) for param in op.params))
         text = render_result(result, args.format, args.ascii)
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a DomainError is the input's fault (exit 2), any other the program's
+        prefix = "" if isinstance(exc, DomainError) else "internal "
+        print(f"{prefix}error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3 if prefix else 2
     sys.stdout.write(text)
     return 0
 

@@ -7,6 +7,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -133,6 +134,19 @@ def test_unknown_table_is_domain_error(capsys):
 def test_malformed_jl_class_is_domain_error(capsys):
     code, _, _ = run_cli(capsys, "padic", "jl", "--p", "3", "--cls", "bogus")
     assert code == 2
+
+
+def test_internal_fault_exits_three_and_an_interrupt_propagates(capsys, monkeypatch):
+    def covolume(sig):
+        raise fault  # read at call time
+
+    monkeypatch.setattr(cli.fuchsian, "covolume", covolume)
+    argv = ["fuchsian", "covolume", "--sig", "0;-;3"]
+    fault = RuntimeError("boom")
+    assert run_cli(capsys, *argv) == (3, "", "internal error: RuntimeError: boom\n")
+    fault = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
 
 
 # -- formats ----------------------------------------------------------------------------
@@ -389,6 +403,16 @@ def test_zero_compares_against_pi_multiples(capsys, a, b, expected):
     (["ff", "orders", "--q", "x"],
      "usage: vndim ff orders [-h] [--format {text,json,csv}] [--ascii] --q Q\n"
      "vndim ff orders: error: argument --q: invalid int value: 'x'\n"),
+    # Words an operation's parser leaves over are the root's to refuse.
+    (["fuchsian", "vndim", "--sig", "0;-;3", "--m", "5", "--bogus"],
+     "usage: vndim [-h] GROUP ...\nvndim: error: unrecognized arguments: --bogus\n"),
+    (["table", "hecke:10", "extra"],
+     "usage: vndim [-h] GROUP ...\nvndim: error: unrecognized arguments: extra\n"),
+    (["padic", "vndim", "--", "--q", "3"],
+     "usage: vndim padic vndim [-h] [--format {text,json,csv}] [--ascii] --q Q --n N\n"
+     "                         [--rep {steinberg,cuspidal}]\n"
+     "                         [--norm {iwahori1,k1,kq1,khalf}]\n"
+     "vndim padic vndim: error: the following arguments are required: --q, --n\n"),
 ])
 def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     monkeypatch.setenv("COLUMNS", "80")
@@ -435,9 +459,17 @@ def test_composite_with_ten_digit_factors_exits_two(capsys):
     assert err == f"error: NotPrimePower: {q} is not a prime power\n"
 
 
-# -- each call builds only the invoked group and verb --------------------------------
+# -- each call builds one parser: that of the node its first two words name -----------
 
 NODES = [[]] + [[op.group] + ([op.verb] if op.verb else []) for op in OPERATIONS]
+
+
+def whole_tree_reference():
+    """Patch ``build_parser`` so that ``main`` parses the whole command line with the
+    whole tree's ``parse_args``: the reference that every narrower parser must match."""
+    tree = cli.build_parser()[0]
+    whole = SimpleNamespace(parse_known_args=lambda argv: (tree.parse_args(argv), []))
+    return mock.patch.object(cli, "build_parser", lambda *words: (whole, 0))
 
 
 @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"], ["-h", "x"], ["--format", "xml"]],
@@ -446,9 +478,8 @@ NODES = [[]] + [[op.group] + ([op.verb] if op.verb else []) for op in OPERATIONS
 def test_group_parser_output_matches_the_whole_tree(capsys, monkeypatch, node, tail):
     monkeypatch.setenv("COLUMNS", "80")
     narrow = run_cli(capsys, *node, *tail)
-    whole_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *words: whole_tree())
-    assert run_cli(capsys, *node, *tail) == narrow
+    with whole_tree_reference():
+        assert run_cli(capsys, *node, *tail) == narrow
 
 
 def _subcommands(parser):
@@ -462,39 +493,98 @@ def _verbs(group):
 
 
 def test_group_parser_holds_only_its_own_verbs():
-    groups = _subcommands(cli.build_parser("fuchsian"))
-    assert list(groups) == ["fuchsian"]
-    assert list(_subcommands(groups["fuchsian"])) == _verbs("fuchsian")
+    parser, depth = cli.build_parser("fuchsian")
+    assert (parser.prog, depth) == ("vndim fuchsian", 1)
+    assert list(_subcommands(parser)) == _verbs("fuchsian")
     # a second word that names one of the group's verbs gets that verb alone
-    groups = _subcommands(cli.build_parser("fuchsian", "vndim"))
-    assert list(groups) == ["fuchsian"]
-    verbs = _subcommands(groups["fuchsian"])
-    assert list(verbs) == ["vndim"]
-    flags = [flag for action in verbs["vndim"]._actions for flag in action.option_strings]
+    parser, depth = cli.build_parser("fuchsian", "vndim")
+    assert (parser.prog, depth, _subcommands(parser)) == ("vndim fuchsian vndim", 2, {})
+    flags = [flag for action in parser._actions for flag in action.option_strings]
     assert flags == ["-h", "--help", "--format", "--ascii", "--sig", "--m", "--mode"]
+    # `table` is an operation one word deep, whatever its name word
+    parser, depth = cli.build_parser("table", "hecke:10")
+    assert (parser.prog, depth, _subcommands(parser)) == ("vndim table", 1, {})
+    assert [action.dest for action in parser._actions][-1] == "name"
     # a second word that names no verb of the group gets all of them
     for word in ("--help", "-h", "vnd", "covolume ", "nosuch"):
-        groups = _subcommands(cli.build_parser("padic", word))
-        assert list(groups) == ["padic"]
-        assert list(_subcommands(groups["padic"])) == _verbs("padic")
+        parser, depth = cli.build_parser("padic", word)
+        assert (parser.prog, depth) == ("vndim padic", 1)
+        assert list(_subcommands(parser)) == _verbs("padic")
     # a first word that names no group gets every group's verbs
-    for word in (None, "--help", "fuch", "nosuch"):
-        groups = _subcommands(cli.build_parser(word))
+    for words in ((), ("--help",), ("fuch",), ("nosuch",)):
+        parser, depth = cli.build_parser(*words)
+        assert (parser.prog, depth) == ("vndim", 0)
+        groups = _subcommands(parser)
         assert list(groups) == ["exact", "fuchsian", "factor", "ff", "padic", "table"]
         assert list(_subcommands(groups["padic"])) == _verbs("padic")
         assert [action.dest for action in groups["table"]._actions][-1] == "name"
-        assert _subcommands(cli.build_parser(word, "vndim")).keys() == groups.keys()
+        assert _subcommands(cli.build_parser(*words, "vndim")[0]).keys() == groups.keys()
 
 
 def test_main_reads_sys_argv_and_builds_its_first_two_words(capsys, monkeypatch):
     built, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *words: built.append(words) or build(*words))
+
+    def recording(*words):
+        parser, depth = build(*words)
+        built.append((words, depth))
+        return parser, depth
+
+    monkeypatch.setattr(cli, "build_parser", recording)
     monkeypatch.setattr(sys, "argv", ["vndim", "fuchsian", "vndim", "--sig", "0;-;3", "--m", "5"])
     assert main() == 0
     assert capsys.readouterr().out == "5/2\n"
     monkeypatch.setattr(sys, "argv", ["vndim"])
     assert main() == 1
-    assert built == [("fuchsian", "vndim"), ()]
+    # words left over by the operation's parser are parsed again by the whole tree
+    monkeypatch.setattr(sys, "argv", ["vndim", "table", "hecke:10", "extra"])
+    assert main() == 1
+    assert built == [(("fuchsian", "vndim"), 2), ((), 0), (("table", "hecke:10"), 1), ((), 0)]
+
+
+#: A well-formed command line of each operation.
+WELL_FORMED = [
+    ["exact", "mul", "--a", "1/2", "--b", "pi"], ["exact", "compare", "--a", "1", "--b", "2"],
+    ["fuchsian", "covolume", "--sig", "0;-;3"],
+    ["fuchsian", "cuspdim", "--sig", "0;-;3", "--weight", "4"],
+    ["fuchsian", "mult", "--sig", "0;-;3", "--m", "5"], ["fuchsian", "formaldim", "--m", "5"],
+    ["fuchsian", "vndim", "--sig", "0;-;3", "--m", "5"],
+    ["fuchsian", "minweight", "--sig", "0;-;3"],
+    ["fuchsian", "twolattice", "--sig1", "0;-;3", "--sig2", "0;-;4", "--m", "5"],
+    ["fuchsian", "catalog", "--name", "H3"],
+    ["factor", "coupling", "--n", "2", "--k", "3"],
+    ["factor", "jones", "--sub", "1/2", "--ambient", "1/3"],
+    ["factor", "fgindex", "--ambient-rank", "2", "--sub-rank", "3"],
+    ["ff", "orders", "--q", "3"], ["ff", "enumerate", "--q", "3"],
+    ["ff", "isregular", "--q", "3", "--a", "1"], ["ff", "countregular", "--q", "3", "--nu", "0"],
+    ["ff", "bruteregular", "--q", "3", "--nu", "sign"], ["ff", "normtrace", "--q", "3"],
+    ["ff", "repdims", "--q", "3"],
+    ["padic", "valuation", "--r", "7/25", "--p", "5"],
+    ["padic", "ultrametric", "--r", "1/3", "--s", "2/3", "--p", "3"],
+    ["padic", "level", "--n", "1", "--e", "2"], ["padic", "quadext", "--p", "3"],
+    ["padic", "weyl", "--max-length", "2"], ["padic", "weylsum", "--q", "3", "--max-length", "2"],
+    ["padic", "weylclosed", "--q", "3"], ["padic", "haar", "--q", "3", "--norm", "khalf"],
+    ["padic", "steinberg", "--q", "3"], ["padic", "depthzero", "--q", "3"],
+    ["padic", "lattice", "--q", "3", "--n", "4"], ["padic", "covolume", "--q", "3", "--n", "4"],
+    ["padic", "vndim", "--q", "3", "--n", "4", "--rep", "cuspidal"],
+    ["padic", "jl", "--p", "3", "--cls", "special"],
+] + [argv for _, argv in GOLDEN_COMMANDS if argv[0] == "table"] + [["table", "padic:5:2"]]
+
+
+def test_a_query_constructs_exactly_one_parser(capsys, monkeypatch):
+    named = {(argv[0], None if argv[0] == "table" else argv[1]) for argv in WELL_FORMED}
+    assert named == {(op.group, op.verb) for op in OPERATIONS if op.fn}
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in WELL_FORMED:
+        built.clear()
+        code, _, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert len(built) == 1, argv
 
 
 # -- fuzz: any command line ends as the whole tree ends it ---------------------------------
@@ -555,8 +645,7 @@ def test_fuzzed_command_lines_end_as_the_whole_tree_ends_them(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert run_captured(argv)[0] == first  # the same bytes again
-    whole_tree = cli.build_parser
-    with mock.patch.object(cli, "build_parser", lambda *words: whole_tree()):
+    with whole_tree_reference():
         assert run_captured(argv)[0] == first
 
 
