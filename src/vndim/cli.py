@@ -357,13 +357,20 @@ def _fill(parser: argparse.ArgumentParser, node: Op | None) -> None:
             _fill(children.add_parser(op.verb or op.group, help=op.help), op)
 
 
+def _refuse(message: str):
+    raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, depth = build_parser(*argv[:2])
+    if depth:  # a usage error is left to the whole tree, to word as the nested parsers do
+        parser.error = _refuse  # (words left over are refused in the root's usage)
     try:
-        args, rest = parser.parse_known_args(argv[depth:])
-        if rest:  # left over: the whole tree refuses them, in the root's words
+        try:
+            args = parser.parse_args(argv[depth:])
+        except argparse.ArgumentError:
             args = build_parser()[0].parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; the CLI contract wants 1
         return 1 if exc.code else 0
