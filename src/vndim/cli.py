@@ -281,16 +281,19 @@ OPERATIONS = (
     Op("ff", None, "finite-field structure of GL(2,F_q)"),
     Op("ff", "orders", "orders of GL(2,F_q) and its Borel subgroup", finite_field.group_orders,
        INT("--q")),
-    Op("ff", "enumerate", "brute-force matrix counts (q <= 9)", finite_field.enumerate_gl2,
-       INT("--q")),
+    Op("ff", "enumerate",
+       f"brute-force matrix counts (q <= {math.isqrt(finite_field.FIELD_GUARD)})",
+       finite_field.enumerate_gl2, INT("--q")),
     Op("ff", "isregular", "is the index-a character of F_{q^2}^x regular?",
        finite_field.is_regular, INT("--q"), INT("--a")),
     Op("ff", "countregular", "closed-form regular-character count",
        finite_field.count_regular_characters,
        INT("--q"), NU("--nu", "index mod q-1, or 'trivial'/'sign'")),
-    Op("ff", "bruteregular", "enumerated regular-character count (q <= 9)",
+    Op("ff", "bruteregular",
+       f"enumerated regular-character count (q <= {math.isqrt(finite_field.FIELD_GUARD)})",
        finite_field.brute_force_regular_characters, INT("--q"), NU("--nu")),
-    Op("ff", "normtrace", "norm/trace surjectivity and norm kernel (q <= 9)",
+    Op("ff", "normtrace",
+       f"norm/trace surjectivity and norm kernel (q <= {math.isqrt(finite_field.FIELD_GUARD)})",
        finite_field.norm_trace_facts, INT("--q")),
     Op("ff", "repdims", "dimensions of the basic GL(2,F_q) representations",
        finite_field.finite_rep_dims, INT("--q")),

@@ -84,8 +84,8 @@ class NotPrimePower(DomainError):
 class TooLarge(DomainError):
     """A request past a documented size bound.  The bounds, all module constants:
 
-    * finite_field.ENUMERATION_GUARD = 9: the largest q a brute-force enumeration scans;
-    * finite_field.FIELD_GUARD = 10**4: the most elements a field model holds;
+    * finite_field.FIELD_GUARD = 10**4: the most elements a field model holds, or
+      a brute-force enumeration scans (q^2 elements of F_{q^2}, pairs or indices);
     * finite_field.PRIME_BITS_GUARD = 3200: the most bits of a q with no prime
       factor up to 41 (PrimePower.from_int), or of a p (the p-adic checks of p),
       that is tested for primality;

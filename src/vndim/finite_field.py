@@ -30,13 +30,9 @@ from itertools import product
 
 from .errors import EvenResidue, NotPrimePower, TooLarge
 
-#: Brute-force guard: enumerations scan q^2 field elements or pairs of them.
-ENUMERATION_GUARD = 9
-
 #: Field-model guard: a model tabulates every one of its p^f elements, and
-#: finding its modulus walks polynomials over Z/p, so a larger field is refused.
-#: A model at the bound takes some tens of milliseconds, and F_{q^2} is still
-#: modelled for every q up to 81.
+#: finding its modulus walks polynomials over Z/p, so a larger field is refused,
+#: and so is an enumeration of more q^2 elements of F_{q^2}, pairs or indices.
 FIELD_GUARD = 10**4
 
 #: Primality guard: PrimePower.from_int, and the p-adic checks of p, refuse a
@@ -232,10 +228,10 @@ def as_prime_power(q) -> PrimePower:
 
 
 def _enumerable(q) -> PrimePower:
-    """q as a PrimePower, refused with TooLarge past the brute-force guard."""
+    """q as a PrimePower, refused with TooLarge when q^2 exceeds FIELD_GUARD."""
     pp = as_prime_power(q)
-    if pp.q > ENUMERATION_GUARD:
-        raise TooLarge(f"q={pp.q} exceeds enumeration guard {ENUMERATION_GUARD}")
+    if pp.q**2 > FIELD_GUARD:
+        raise TooLarge(f"q={pp.q}: q^2 exceeds field-model guard {FIELD_GUARD}")
     return pp
 
 

@@ -72,14 +72,27 @@ class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders c
 
     def area_factor(self) -> Fraction:
         """The rational 2g - 2 + sum(1 - 1/m_j) + h; covolume is 2*pi times this."""
-        total = Fraction(2 * self.genus - 2 + self.cusps)
-        for m in self.elliptic_orders:
-            total += 1 - Fraction(1, m)
-        return total
+        orders = self.elliptic_orders
+        whole = 2 * self.genus - 2 + len(orders) + self.cusps
+        if not orders:
+            return Fraction(whole)
+        num, den = _reciprocal_sum(orders)
+        return Fraction(whole * den - num, den)
 
     def __str__(self) -> str:
         orders = ",".join(str(m) for m in self.elliptic_orders) or "-"
         return f"{self.genus};{orders};{self.cusps}"
+
+
+def _reciprocal_sum(orders: tuple) -> tuple[int, int]:
+    """(a, b) with a/b = sum(1/m) over the nonempty orders, unreduced.  The halves
+    are summed apart, so it costs a few big-int products of the input's size; term
+    by term, a growing denominator meets each order, quadratic in their number."""
+    if len(orders) == 1:
+        return 1, orders[0]
+    half = len(orders) // 2
+    (a, b), (c, d) = _reciprocal_sum(orders[:half]), _reciprocal_sum(orders[half:])
+    return a * d + b * c, b * d
 
 
 def parse_signature(text: str) -> FuchsianSignature:

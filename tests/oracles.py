@@ -6,6 +6,7 @@ textbook fact in a few lines of plain integer arithmetic, so that a test can
 compare the library against it.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,19 @@ def cms_steinberg_check(q: int, n: int = 2) -> Fraction:
     for k in range(1, n):
         prod *= q**k - 1
     return Fraction(prod, n)
+
+
+@functools.cache
+def sieve_primes(limit: int) -> tuple:
+    """The primes below limit, by the sieve of Eratosthenes (no trial division);
+    sieved once and shared by every test that reads it."""
+    composite = bytearray(limit)
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            composite[n * n::n] = b"\x01" * len(range(n * n, limit, n))
+    return tuple(primes)
 
 
 def factors_through_norm(q: int, a: int) -> bool:

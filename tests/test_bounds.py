@@ -253,12 +253,35 @@ def test_an_unknown_enum_value_is_a_usage_error(capsys, flag, verb):
     assert f"argument {flag}: invalid choice: 'bogus'" in err
 
 
+def written_number(text):
+    """A bound's value as the docs write it: digits grouped by spaces ("45 000"),
+    and products of powers written with ^ or ** ("10^4", "2 * 10**6")."""
+    value = 1
+    for factor in re.split(r"(?<!\*)\*(?!\*)", text.replace("^", "**")):
+        base, _, exponent = factor.replace(" ", "").partition("**")
+        value *= int(base) ** int(exponent or 1)
+    return value
+
+
+def defined_guards():
+    """{name: (module, value)} for every *_GUARD constant in src/."""
+    guards = {}
+    for path in Path(vndim.__file__).parent.glob("*.py"):
+        for name in re.findall(r"^(\w+_GUARD) = ", path.read_text(encoding="utf-8"), re.M):
+            guards[name] = (path.stem, getattr(importlib.import_module(f"vndim.{path.stem}"), name))
+    assert guards
+    return guards
+
+
 def test_too_large_docstring_lists_every_guard_at_its_value():
-    listed = set()
-    for module, name, value in re.findall(r"\* (\w+)\.(\w+) = ([^:]+):", TooLarge.__doc__):
-        live = getattr(importlib.import_module(f"vndim.{module}"), name)
-        assert eval(value.replace(" ", ""), {"__builtins__": {}}) == live, (module, name)
-        listed.add((module, name))
-    defined = {(path.stem, name) for path in Path(vndim.__file__).parent.glob("*.py")
-               for name in re.findall(r"^(\w+_GUARD) = ", path.read_text(encoding="utf-8"), re.M)}
-    assert defined and defined == listed
+    listed = {name: (module, written_number(value)) for module, name, value
+              in re.findall(r"\* (\w+)\.(\w+) = ([^:]+):", TooLarge.__doc__)}
+    assert listed == defined_guards()
+
+
+def test_readme_size_bounds_list_every_guard_at_its_value():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (bounds,) = re.findall(r"^\* Size bounds\..*?(?=^\* )", readme, re.S | re.M)
+    listed = {name: written_number(value) for name, value
+              in re.findall(r"`(\w+_GUARD)` = ([0-9](?:[0-9 ^*]*[0-9])?)", bounds)}
+    assert listed == {name: value for name, (_, value) in defined_guards().items()}

@@ -1,12 +1,16 @@
+import functools
 import time
+from collections import namedtuple
 from itertools import product
 
 import pytest
 
 from vndim.cli import main
-from vndim.errors import EvenResidue, NotPrimePower, TooLarge
+from vndim.errors import DomainError, EvenResidue, NotPrimePower, TooLarge
 from vndim.finite_field import (
+    NormTraceFacts,
     PrimePower,
+    as_prime_power,
     brute_force_regular_characters,
     count_regular_characters,
     enumerate_gl2,
@@ -23,7 +27,7 @@ from vndim.finite_field import (
 from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
 from vndim.tables import build_table
 
-from oracles import factors_through_norm
+from oracles import factors_through_norm, sieve_primes
 
 SMALL_Q = (3, 5, 7, 9)
 
@@ -62,11 +66,6 @@ def test_enumeration_matches_formulas():
         o = group_orders(q)
         assert counted.counted_order == o.gl2_order
         assert counted.counted_borel == o.borel_order
-
-
-def test_enumeration_guard():
-    with pytest.raises(TooLarge):
-        enumerate_gl2(11)
 
 
 def test_deterministic_field_model():
@@ -151,18 +150,44 @@ def test_finite_rep_dims():
         assert d.principal_series_dim == d.steinberg_dim + 1
 
 
-def test_every_enumeration_refuses_past_the_guard():
-    from vndim.finite_field import hilbert90_count
+#: Odd prime powers past 9, up to 97, the largest with q^2 <= FIELD_GUARD.
+LARGE_ORACLE_QS = (25, 27, 49, 81, 97)
 
+OracleAnswers = namedtuple("OracleAnswers", "counted norm_trace hilbert90 brute_regular")
+
+
+@functools.cache
+def oracles_at(q):
+    """Every enumeration's answer at q, computed once for the whole module: at
+    q = 81 and 97 a scan of F_{q^2} takes some tenths of a second.  The
+    brute-force count is taken at nu = 0 and 1, one index of each parity."""
+    return OracleAnswers(enumerate_gl2(q), norm_trace_facts(q), hilbert90_count(q),
+                         tuple(brute_force_regular_characters(q, nu) for nu in (0, 1)))
+
+
+def test_every_enumeration_refuses_past_the_guard(capsys):
+    assert max(LARGE_ORACLE_QS) ** 2 <= FIELD_GUARD < 101**2
+    oracles_at(97)  # the largest q allowed answers in all four; the values are checked below
     enumerations = [enumerate_gl2, norm_trace_facts, hilbert90_count,
                     lambda q: brute_force_regular_characters(q, 1)]
-    for enumerate_ in enumerations:
-        enumerate_(PrimePower(3, 2))  # q = 9 is the largest allowed
-        for q in (11, PrimePower(11, 1), 27):
-            with pytest.raises(TooLarge, match=r"^q=(11|27) exceeds enumeration guard 9$"):
+    for q in (101, PrimePower(101, 1), 125):
+        messages = set()
+        for enumerate_ in enumerations:
+            start = time.perf_counter()
+            with pytest.raises(TooLarge) as refused:
                 enumerate_(q)
+            assert time.perf_counter() - start < 0.1
+            messages.add(str(refused.value))
+        n = as_prime_power(q).q
+        assert messages == {f"q={n}: q^2 exceeds field-model guard {FIELD_GUARD}"}
+    for enumerate_ in enumerations:
         with pytest.raises(NotPrimePower):  # q is validated before the guard
             enumerate_(15)
+    for verb in (["enumerate"], ["normtrace"], ["bruteregular", "--nu", "1"]):
+        assert main(["ff", verb[0], "--q", "101", *verb[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: TooLarge: q=101: q^2 exceeds field-model guard "
+                                  f"{FIELD_GUARD}\n")
 
 
 # -- reference oracles --------------------------------------------------------------
@@ -170,22 +195,19 @@ def test_every_enumeration_refuses_past_the_guard():
 ORACLE_LIMIT = 10**5
 
 
-def sieve_primes(limit):
-    """The primes below limit, by the sieve of Eratosthenes (no trial division)."""
-    composite = bytearray(limit)
-    primes = []
-    for n in range(2, limit):
-        if not composite[n]:
-            primes.append(n)
-            composite[n * n::n] = b"\x01" * len(range(n * n, limit, n))
-    return primes
-
-
 def test_is_prime_matches_a_sieve():
     primes = set(sieve_primes(ORACLE_LIMIT))
     assert len(primes) == 9592
     for n in range(-3, ORACLE_LIMIT):
         assert is_prime(n) == (n in primes), n
+
+
+def parse_outcome(n):
+    """PrimePower.from_int(n), or the DomainError it raises."""
+    try:
+        return PrimePower.from_int(n)
+    except DomainError as exc:
+        return exc
 
 
 def test_prime_power_parsing_matches_a_sieve():
@@ -196,14 +218,13 @@ def test_prime_power_parsing_matches_a_sieve():
             odd_prime_powers[p**f] = PrimePower(p, f)
             f += 1
     for n in range(ORACLE_LIMIT):
+        outcome = parse_outcome(n)
         if n % 2 == 0:  # 0, 2 and every even n: even before anything else
-            with pytest.raises(EvenResidue):
-                PrimePower.from_int(n)
+            assert isinstance(outcome, EvenResidue), n
         elif n in odd_prime_powers:
-            assert PrimePower.from_int(n) == odd_prime_powers[n]
+            assert outcome == odd_prime_powers[n], n
         else:  # 1 and the odd composites with two distinct prime factors
-            with pytest.raises(NotPrimePower):
-                PrimePower.from_int(n)
+            assert isinstance(outcome, NotPrimePower), n
 
 
 MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
@@ -387,17 +408,14 @@ def test_modulus_is_the_least_polynomial_without_a_root(q):
     assert field_model(q).modulus == irreducible[0]
 
 
-def test_oracles_agree_with_closed_forms_at_27(monkeypatch):
-    import vndim.finite_field as finite_field
-
-    monkeypatch.setattr(finite_field, "ENUMERATION_GUARD", 27)
-    q = 27
-    counted, orders = enumerate_gl2(q), group_orders(q)
-    assert (counted.counted_order, counted.counted_borel) == (orders.gl2_order, orders.borel_order)
-    for nu in range(q - 1):
-        assert brute_force_regular_characters(q, nu) == count_regular_characters(q, nu)
-    assert norm_trace_facts(q) == finite_field.NormTraceFacts(True, True, q + 1)
-    assert hilbert90_count(q) == q + 1
+def test_oracles_agree_with_closed_forms_past_9():
+    for q in LARGE_ORACLE_QS:
+        answers, orders = oracles_at(q), group_orders(q)
+        assert answers.counted == (orders.gl2_order, orders.borel_order), q
+        assert answers.brute_regular == (count_regular_characters(q, 0),
+                                         count_regular_characters(q, 1)) == (q - 1, q + 1)
+        assert answers.norm_trace == NormTraceFacts(True, True, q + 1), q
+        assert answers.hilbert90 == q + 1, q
 
 
 def schoolbook_mul(field, a, b):
