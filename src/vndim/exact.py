@@ -53,12 +53,12 @@ class PiRational:
     def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
-        if not coeff:
+        if pi_exp != 0 and not coeff:
             pi_exp = 0
         if pi_exp not in (-1, 0, 1):
             raise ExponentOverflow(f"pi exponent {pi_exp} outside supported range [-1, 1]")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exp", pi_exp)
+        _set_coeff(self, coeff)
+        _set_pi_exp(self, pi_exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiRational is immutable")
@@ -170,6 +170,8 @@ class PiRational:
     def __repr__(self) -> str:
         return f"PiRational({self.coeff!r}, {self.pi_exp})"
 
+
+_set_coeff, _set_pi_exp = PiRational.coeff.__set__, PiRational.pi_exp.__set__
 
 #: The constant pi as an exact scalar.
 PI = PiRational(1, 1)

@@ -378,14 +378,19 @@ def enumerate_gl2(q) -> EnumeratedOrders:
 
 def is_regular(q, a: int) -> bool:
     """Whether the index-a character of F_{q^2}^x is regular: theta^q != theta."""
-    n = as_prime_power(q).q
-    modulus = n * n - 1
-    return (n * a) % modulus != a % modulus
+    return _is_regular(as_prime_power(q).q, a)
+
+
+def _is_regular(n: int, a: int) -> bool:
+    return (n * a) % (n * n - 1) != a % (n * n - 1)
 
 
 def restricts_to(q, a: int, nu: int) -> bool:
     """Whether the index-a character restricts to the index-nu character of F_q^x."""
-    n = as_prime_power(q).q
+    return _restricts_to(as_prime_power(q).q, a, nu)
+
+
+def _restricts_to(n: int, a: int, nu: int) -> bool:
     return a % (n - 1) == nu % (n - 1)
 
 
@@ -403,16 +408,24 @@ def count_regular_characters(q, nu: int) -> int:
 
 def brute_force_regular_characters(q, nu: int) -> int:
     """Oracle for count_regular_characters: enumerate all q^2 - 1 indices."""
-    pp = _enumerable(q)
-    n = pp.q
-    return sum(
-        1
-        for a in range(n * n - 1)
-        if is_regular(pp, a) and restricts_to(pp, a, nu)
-    )
+    n = _enumerable(q).q
+    return sum(1 for a in range(n * n - 1) if _is_regular(n, a) and _restricts_to(n, a, nu))
 
 
 # -- norm, trace, Hilbert 90 --------------------------------------------------
+
+
+def _frobenius(q) -> tuple:
+    """(F_{q^2}, q, conj), conj[a] = a^q for each a in F_{q^2}, from one power: Frobenius
+    is additive and fixes Z/p, so conj(a) = conj(a - 1) + 1 when p does not divide the
+    int a, and otherwise a = x * (a/p), so conj(a) = conj(x) * conj(a/p)."""
+    pp = _enumerable(q)
+    big, p = _Field(pp.p, 2 * pp.f), pp.p
+    conj_x = big.pow(p, pp.q)  # the element x is the int p
+    conj = [big.zero]
+    for a in range(1, big.order):
+        conj.append(big.add(conj[a - 1], big.one) if a % p else big.mul(conj_x, conj[a // p]))
+    return big, pp.q, conj
 
 
 NormTraceFacts = namedtuple("NormTraceFacts", "norm_surjective trace_surjective norm_kernel_size")
@@ -422,13 +435,8 @@ def norm_trace_facts(q) -> NormTraceFacts:
     """Verify by enumeration over an explicit F_{q^2} that the norm x -> x^(q+1)
     surjects onto F_q^x, the trace x -> x + x^q surjects onto F_q, and the norm
     kernel has exactly q + 1 elements.  F_q is the fixed field of x -> x^q."""
-    pp = _enumerable(q)
-    n = pp.q
-    big = _Field(pp.p, 2 * pp.f)
-    conj = [big.pow(x, n) for x in big.elements()]
-    norm_image = set()
-    trace_image = set()
-    kernel = 0
+    big, n, conj = _frobenius(q)
+    norm_image, trace_image, kernel = set(), set(), 0
     for x in big.elements():
         tr = big.add(x, conj[x])
         assert conj[tr] == tr, "trace is not fixed by Frobenius"
@@ -439,20 +447,24 @@ def norm_trace_facts(q) -> NormTraceFacts:
             norm_image.add(nx)
             if nx == big.one:
                 kernel += 1
-    return NormTraceFacts(
-        norm_surjective=len(norm_image) == n - 1,
-        trace_surjective=len(trace_image) == n,
-        norm_kernel_size=kernel,
-    )
+    return NormTraceFacts(norm_surjective=len(norm_image) == n - 1,
+                          trace_surjective=len(trace_image) == n, norm_kernel_size=kernel)
 
 
 def hilbert90_count(q) -> int:
     """Count the distinct x * conj(x)^-1 over x in F_{q^2}^x (all norm-1 elements).
 
-    conj(x) = x^q and x^(q^2-1) = 1, so each quotient is the single power x^(q^2-q)."""
-    pp = _enumerable(q)
-    big = _Field(pp.p, 2 * pp.f)
-    return len({big.pow(x, big.order - pp.q) for x in big.elements() if x != big.zero})
+    Each is computed as x^2 * N(x)^-1: the norm N(x) = x * conj(x) lies in F_q^x, the
+    nonzero elements that conj fixes, and each of their inverses is found by search."""
+    return len(_hilbert90_quotients(q))
+
+
+def _hilbert90_quotients(q) -> set:
+    big, _, conj = _frobenius(q)
+    subfield = [u for u in big.elements() if u != big.zero and conj[u] == u]
+    inverse = {u: next(v for v in subfield if big.mul(u, v) == big.one) for u in subfield}
+    return {big.mul(big.mul(x, x), inverse[big.mul(x, conj[x])])
+            for x in big.elements() if x != big.zero}
 
 
 # -- representation dimensions ------------------------------------------------

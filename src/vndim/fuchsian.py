@@ -65,10 +65,11 @@ class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders c
         for m in self.elliptic_orders:
             if not isinstance(m, int) or m < 2:
                 raise InvalidSignature(f"elliptic order must be an integer >= 2, got {m}")
-        if self.area_factor() <= 0:
-            raise NonHyperbolic(
-                f"signature {self} has Gauss-Bonnet area 2*pi*{self.area_factor()} <= 0"
-            )
+        # Each 1 - 1/m >= 1/2: the exact sum decides only when 2g - 2 + h + l/2 <= 0.
+        if 4 * genus - 4 + 2 * cusps + len(self.elliptic_orders) <= 0:
+            area = self.area_factor()
+            if area <= 0:
+                raise NonHyperbolic(f"signature {self} has Gauss-Bonnet area 2*pi*{area} <= 0")
 
     def area_factor(self) -> Fraction:
         """The rational 2g - 2 + sum(1 - 1/m_j) + h; covolume is 2*pi times this."""

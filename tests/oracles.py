@@ -2,8 +2,9 @@
 checks of the library.
 
 None is part of vndim, and none imports a vndim formula: each restates a
-textbook fact in a few lines of plain integer arithmetic, so that a test can
-compare the library against it.
+textbook fact in a few lines of plain integer arithmetic, or of a field
+model's products that the test passes in, so that a test can compare the
+library against it.
 """
 
 import functools
@@ -40,6 +41,13 @@ def factors_through_norm(q: int, a: int) -> bool:
     q+1 subgroup, i.e. when q+1 divides a.
     """
     return a % (q + 1) == 0
+
+
+def hilbert90_powers(field, q: int) -> set:
+    """The set of x^(q^2 - q) over the nonzero x of `field`, a model of F_{q^2}:
+    conj(x) = x^q and x^(q^2 - 1) = 1, so each quotient x * conj(x)^-1 is this
+    single power of x (Hilbert 90 says they are the elements of norm 1)."""
+    return {field.pow(x, q * q - q) for x in field.elements() if x != field.zero}
 
 
 def _mat_mul(x: tuple, y: tuple, n: int) -> tuple:

@@ -73,7 +73,16 @@ def test_coefficient_is_always_a_plain_fraction(value):
 
 def test_fraction_coefficient_is_stored_as_given():
     value = Fraction(-3, 8)
-    assert PiRational(value, 1).coeff is value
+    for pi_exp in (-1, 0, 1):
+        assert PiRational(value, pi_exp).coeff is value
+
+
+def test_attributes_cannot_be_assigned():
+    value = PiRational(Fraction(1, 3), 1)
+    for name, new in (("coeff", Fraction(2)), ("pi_exp", 0), ("other", 1)):
+        with pytest.raises(AttributeError, match="^PiRational is immutable$"):
+            setattr(value, name, new)
+    assert (value.coeff, value.pi_exp) == (Fraction(1, 3), 1)
 
 
 @pytest.mark.parametrize("zero", [0, False, "0", 0.0, Fraction(0), FractionSubclass(0)])

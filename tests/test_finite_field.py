@@ -24,10 +24,11 @@ from vndim.finite_field import (
     norm_trace_facts,
     restricts_to,
 )
+from vndim.finite_field import _frobenius, _hilbert90_quotients
 from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
 from vndim.tables import build_table
 
-from oracles import factors_through_norm, sieve_primes
+from oracles import factors_through_norm, hilbert90_powers, sieve_primes
 
 SMALL_Q = (3, 5, 7, 9)
 
@@ -416,6 +417,19 @@ def test_oracles_agree_with_closed_forms_past_9():
                                          count_regular_characters(q, 1)) == (q - 1, q + 1)
         assert answers.norm_trace == NormTraceFacts(True, True, q + 1), q
         assert answers.hilbert90 == q + 1, q
+
+
+@pytest.mark.parametrize("q", [3, 9, 27, 81, 97])  # F_{q^2} of degree 2 to 8 over Z/p
+def test_frobenius_table_is_the_qth_power(q):
+    big, n, conj = _frobenius(q)
+    assert n == q and big.order == q * q
+    assert conj == [big.pow(x, q) for x in big.elements()]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_hilbert90_quotients_are_the_single_powers(q):
+    # every odd prime power q <= 27
+    assert _hilbert90_quotients(q) == hilbert90_powers(field_model(q * q), q)
 
 
 def schoolbook_mul(field, a, b):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -72,6 +72,25 @@ def test_area_factor_is_the_term_by_term_sum():
             assert term_by_term <= 0, (genus, orders, cusps)
         else:
             assert area == term_by_term, (genus, orders, cusps)
+
+
+def test_sign_check_matches_the_exact_sum_on_small_signatures():
+    # The constructor sums 1/m only when 2g - 2 + h + l/2 <= 0; every small signature
+    # near that boundary, (0;2,3,7;0) of area 1/42 among them, is decided as the sum says.
+    seen = {True: 0, False: 0}
+    for genus, cusps, count in product(range(3), range(4), range(5)):
+        for orders in combinations_with_replacement((2, 3, 4, 5, 6, 7, 8, 12, 42), count):
+            area = 2 * genus - 2 + cusps + sum(1 - Fraction(1, m) for m in orders)
+            try:
+                FuchsianSignature(genus, orders, cusps)
+            except NonHyperbolic as exc:
+                assert area <= 0, (genus, orders, cusps)
+                sig = f"{genus};{','.join(map(str, orders)) or '-'};{cusps}"
+                assert str(exc) == f"signature {sig} has Gauss-Bonnet area 2*pi*{area} <= 0"
+            else:
+                assert area > 0, (genus, orders, cusps)
+            seen[area > 0] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_area_factor_is_fast_at_the_argument_size_limit():
