@@ -60,8 +60,13 @@ class PiRational:
         _set_coeff(self, coeff)
         _set_pi_exp(self, pi_exp)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("PiRational is immutable")
+
+    __delattr__ = __setattr__  # deletion is refused alike (value defaults to None)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.coeff, self.pi_exp)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -173,6 +173,7 @@ class PrimePower(namedtuple("PrimePower", "p f")):
     """q = p^f with p an odd prime; immutable, validated at construction."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
 
     def __init__(self, p: int, f: int):
         if not is_prime(p):
@@ -303,9 +304,6 @@ class _Field:
 
     def add(self, a: int, b: int) -> int:
         return self._element(self._lanes[a] + self._lanes[b])
-
-    def neg(self, a: int) -> int:
-        return self._element(self._lanes[a] * (self.p - 1))
 
     def mul(self, a: int, b: int) -> int:
         f, bits = self.f, self._bits

@@ -169,6 +169,7 @@ class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
 
     def __new__(cls, letters=()):
         return tuple.__new__(cls, (tuple(letters),))
@@ -367,6 +368,7 @@ class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
 
     def __init__(self, tag: JLTag, conductor: int = 0):
         if tag is JLTag.GENERALIZED_SPECIAL:

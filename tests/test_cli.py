@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import re
@@ -464,11 +465,17 @@ def test_composite_with_ten_digit_factors_exits_two(capsys):
 NODES = [[]] + [[op.group] + ([op.verb] if op.verb else []) for op in OPERATIONS]
 
 
+@functools.cache
+def _whole_tree():
+    """A double of the whole tree that exposes its ``parse_args`` alone, built once
+    and shared: ``main`` can change nothing of the tree's, such as its ``error``."""
+    return SimpleNamespace(parse_args=cli.build_parser()[0].parse_args)
+
+
 def whole_tree_reference():
     """Patch ``build_parser`` so that ``main`` parses the whole command line with the
-    whole tree's ``parse_args``: the reference that every narrower parser must match.
-    ``main`` can change nothing of the tree's, such as its ``error``, through the double."""
-    whole = SimpleNamespace(parse_args=cli.build_parser()[0].parse_args)
+    whole tree's ``parse_args``: the reference that every narrower parser must match."""
+    whole = _whole_tree()
     return mock.patch.object(cli, "build_parser", lambda *words: (whole, 0))
 
 

@@ -425,3 +425,23 @@ def test_congruence_chain_against_coset_permutations():
         assert free_group_index(rank, sub_rank) == e
         for m in (1, 3, 5, 7, 11):
             assert vn_dimension(catalog(sub_name), m) == e * vn_dimension(catalog(name), m)
+
+
+def test_principal_congruence_multiplicities_approach_the_von_neumann_dimension():
+    # A second route to vn_dimension: ordinary multiplicities along a tower of
+    # finite-index subgroups, normalised by the index, tend to it (DeGeorge-Wallach,
+    # Ann. of Math. 107 (1978)).  Over Gamma(N), N >= 3, from the coset oracle, the
+    # multiplicity dim S_{m+1} falls short of vn_dimension by exactly h/2, and
+    # h/mu = 1/N, so dim S_{m+1}/mu rises to vn_dimension(PSL(2,Z), m) = m/12.
+    previous = dict.fromkeys((3, 5, 11), Fraction(-1))
+    for n in range(3, 13):
+        mu, e2, e3, h, g = coset_signature(n, lambda x: x == (1, 0, 0, 1))
+        assert (e2, e3) == (0, 0) and g.denominator == 1 and h * n == mu, n
+        sig = FuchsianSignature(int(g), (), h)
+        for m, below in previous.items():
+            vn = vn_dimension(sig, m)
+            assert cusp_form_dim(sig, m + 1) == vn - Fraction(h, 2), (n, m)
+            assert vn == mu * vn_dimension(MODULAR, m), (n, m)
+            ratio = Fraction(cusp_form_dim(sig, m + 1), mu)
+            assert below < ratio < Fraction(m, 12), (n, m)
+            previous[m] = ratio

@@ -3,10 +3,13 @@
 Result records are namedtuples and the validated value types subclass one, so
 ``import vndim`` does not load ``dataclasses``.  Each type keeps its field
 names and order, its repr, attribute access, refusal of attribute assignment,
-and equality and hashing of equal values.
+and equality and hashing of equal values.  A validated value, ``PiRational``
+included, is built only through its constructor's checks.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import vndim
+from vndim.exact import PiRational
 from vndim.finite_field import (
     EnumeratedOrders,
     FiniteRepDims,
@@ -169,6 +173,73 @@ def test_validation_errors_and_their_order(build, error, message):
     with pytest.raises(Exception) as raised:
         build()
     assert (type(raised.value).__name__, str(raised.value)) == (error, message)
+
+
+#: (type, fields of a valid value, fields of an invalid one): the constructor
+#: refuses the invalid fields, and so must every other way of building a value.
+INVALID = [
+    (PrimePower, (3, 2), (9, 1)),
+    (PrimePower, (3, 2), (3, 0)),
+    (FuchsianSignature, (0, (), 3), (0, (), 0)),
+    (FuchsianSignature, (0, (2, 3), 1), (0, (2, 1), 1)),
+    (ReducedWeylWord, (("w", "w'"),), (("w", "w"),)),
+    (ReducedWeylWord, (("w", "w'"),), (("w", "x"),)),
+    (JLClass, (JLTag.RAMIFIED_CUSPIDAL, 4), (JLTag.RAMIFIED_CUSPIDAL, 3)),
+    (JLClass, (JLTag.GENERALIZED_SPECIAL, 0), (JLTag.GENERALIZED_SPECIAL, 2)),
+]
+
+
+@pytest.mark.parametrize("cls, valid, invalid", INVALID,
+                         ids=[f"{row[0].__name__}{row[2]}" for row in INVALID])
+def test_make_and_replace_run_the_constructors_checks(cls, valid, invalid):
+    with pytest.raises(Exception) as refused:
+        cls(*invalid)
+    paths = {"_make": lambda: cls._make(invalid),
+             "_replace": lambda: cls(*valid)._replace(**dict(zip(cls._fields, invalid)))}
+    for path, build in paths.items():
+        with pytest.raises(Exception) as raised:
+            build()
+        assert (type(raised.value), str(raised.value)) == (
+            type(refused.value), str(refused.value)), path
+
+
+def test_make_normalises_as_the_constructor_does():
+    assert type(ReducedWeylWord._make([["w"]]).letters) is tuple
+    assert FuchsianSignature._make([0, [2, 3], 1]) == parse_signature("0;2,3;1")
+    assert parse_signature("0;-;3")._replace(elliptic_orders=[2]).elliptic_orders == (2,)
+
+
+@pytest.mark.parametrize("slot", PiRational.__slots__)
+def test_pi_rational_refuses_deletion(slot):
+    value = PiRational(Fraction(1, 3), 1)
+    with pytest.raises(AttributeError, match="^PiRational is immutable$"):
+        delattr(value, slot)
+    assert str(value) == "1/3·π" and value == PiRational(Fraction(1, 3), 1)
+
+
+VALID = [PrimePower(3, 2), parse_signature("0;2,3;1"), ReducedWeylWord(("w'", "w")),
+         JLClass(JLTag.RAMIFIED_CUSPIDAL, 4), PiRational(Fraction(-5, 4), -1)]
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy}
+COPIES.update({f"pickle{protocol}": lambda value, protocol=protocol:
+               pickle.loads(pickle.dumps(value, protocol)) for protocol in range(6)})
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("value", VALID, ids=[type(value).__name__ for value in VALID])
+def test_valid_values_copy_and_pickle_equal(value, how):
+    copied = COPIES[how](value)
+    assert type(copied) is type(value)
+    assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_pi_rational_copies_and_pickles_through_its_constructor(how, monkeypatch):
+    value, built = PiRational(Fraction(-5, 4), -1), []
+    init = PiRational.__init__
+    monkeypatch.setattr(PiRational, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert COPIES[how](value) == value
+    assert built == [(value.coeff, value.pi_exp)]
 
 
 def test_cli_import_does_not_load_dataclasses():
