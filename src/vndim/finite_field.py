@@ -174,6 +174,7 @@ class PrimePower(namedtuple("PrimePower", "p f")):
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
+    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __init__(self, p: int, f: int):
         if not is_prime(p):
@@ -282,7 +283,10 @@ class _Field:
         def lanes(coeffs):
             return sum(c << i * bits for i, c in enumerate(coeffs))
 
-        self._lanes = [lanes(a // p**i % p for i in range(f)) for a in range(self.order)]
+        # lanes(a) = lanes(a - 1) + 1 when p does not divide a, else lanes(a/p) one lane up
+        self._lanes = table = [0]
+        for a in range(1, self.order):
+            table.append(table[a - 1] + 1 if a % p else table[a // p] << bits)
         # x^k mod g for k = f, ..., 2f - 2, coefficients in 0..p-1, lowest first
         x_f = [-c % p for c in reversed(self.modulus)]
         power, self._reductions = x_f, []

@@ -54,6 +54,7 @@ class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders c
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
+    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):
         return tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))

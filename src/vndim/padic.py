@@ -3,7 +3,7 @@
 F is a non-archimedean local field of characteristic 0 whose residue field has
 odd order q.  Everything computable here reduces to exact rational arithmetic:
 
-* p-adic valuations and absolute values of rationals;
+* p-adic valuations and absolute values of rationals, p^(-v) memoized (256 kept);
 * level arithmetic for characters of quadratic extensions;
 * reduced words in the affine Weyl group W0 (infinite dihedral: two involutive
   generators, exactly two elements of each positive length), listed up to
@@ -31,6 +31,7 @@ bits, before it is tested.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -82,14 +83,14 @@ def _valuation(r: Fraction, p: int):
     """padic_valuation with p already known to be prime."""
     if not isinstance(r, (int, Fraction)):  # an int or a Fraction has its terms already
         r = Fraction(r)
-    num, den = abs(r.numerator), r.denominator
-    if num == 0:
+    num, den = r.as_integer_ratio()  # % and // strip p from a negative num exactly
+    if not num:
         return INFINITE_VALUATION
     v = 0
-    while num % p == 0:
+    while not num % p:
         num //= p
         v += 1
-    while den % p == 0:
+    while not den % p:
         den //= p
         v -= 1
     return v
@@ -98,11 +99,18 @@ def _valuation(r: Fraction, p: int):
 def padic_abs(r: Fraction, p: int) -> Fraction:
     """|r|_p = p^(-v(r)) as an exact rational, with |0|_p = 0."""
     _check_prime(p)
-    return abs_from_valuation(_valuation(r, p), p)
+    return _abs_from_valuation(_valuation(r, p), p)
 
 
 def abs_from_valuation(v, p: int) -> Fraction:
-    """p^(-v) as an exact rational, and 0 for v = +inf: |r|_p from v = v(r)."""
+    """p^(-v) as an exact rational, and 0 for v = +inf: |r|_p from v = v(r).
+    Memoized with padic_abs by (v, p) and their types, keeping at most 256 results:
+    each one a call returned, from padic_abs no larger than a p-power dividing r."""
+    return _abs_from_valuation(v, p)
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # typed: 2.0 misses the key 2, True the key 1
+def _abs_from_valuation(v, p: int) -> Fraction:
     if math.isinf(v):
         return Fraction(0)
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
@@ -170,6 +178,7 @@ class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
+    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, letters=()):
         return tuple.__new__(cls, (tuple(letters),))
@@ -369,6 +378,7 @@ class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
+    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __init__(self, tag: JLTag, conductor: int = 0):
         if tag is JLTag.GENERALIZED_SPECIAL:

@@ -460,6 +460,15 @@ def test_field_multiplication_matches_schoolbook(q):
         assert field.mul(a, b) == schoolbook_mul(field, a, b), (a, b)
 
 
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (3, 8), (5, 4), (7, 2), (97, 2)])
+def test_lane_table_matches_the_digit_definition(p, f):
+    field = field_model(p**f)
+    bits = field._bits
+    assert len(field._lanes) == p**f
+    for a, lanes in enumerate(field._lanes):
+        assert lanes == sum((a // p**i % p) << i * bits for i in range(f)), a
+
+
 def test_field_model_refuses_a_large_field_at_once():
     assert field_model(9973).order == 9973  # the largest prime under the guard
     assert field_model(3**8).order == 6561 <= FIELD_GUARD

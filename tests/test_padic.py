@@ -26,6 +26,7 @@ from vndim.padic import (
     JLTag,
     PadicRep,
     ReducedWeylWord,
+    abs_from_valuation,
     depth_zero_formal_dim,
     extension_level_arithmetic,
     haar_volumes,
@@ -44,6 +45,7 @@ from vndim.padic import (
     weyl_length_histogram,
     weyl_partial_sum,
 )
+from vndim.padic import _abs_from_valuation
 
 from oracles import cms_steinberg_check
 
@@ -574,10 +576,84 @@ def test_jl_table_refuses_a_bad_p(name, error, message):
     assert str(raised.value) == message
 
 
+class SubFraction(Fraction):
+    pass
+
+
 @pytest.mark.parametrize("r, v", [
     (18, 2), (-18, 2), (True, 0), (0, INFINITE_VALUATION), (Fraction(18, 5), 2),
-    (Fraction(5, 18), -2), (2.25, 2), (Decimal("0.36"), 2), ("7/27", -3),
+    (Fraction(-18, 5), 2), (Fraction(5, 18), -2), (SubFraction(-5, 18), -2), (2.25, 2),
+    (Decimal("0.36"), 2), ("7/27", -3), ("-54/5", 3),
 ], ids=repr)
 def test_valuation_takes_every_rational_input(r, v):
     assert padic_valuation(r, 3) == v
     assert padic_abs(r, 3) == (0 if v == INFINITE_VALUATION else Fraction(3) ** -v)
+
+
+# -- the memo of p^(-v) ------------------------------------------------------------
+
+
+def reference_valuation(r: Fraction, p: int):
+    """v_p by the largest power of p dividing each term, found by trying p^1, p^2, ..."""
+    def multiplicity(n):
+        return next(k for k in range(n.bit_length() + 1) if n % p ** (k + 1))
+
+    if r == 0:
+        return math.inf
+    return multiplicity(r.numerator) - multiplicity(r.denominator)
+
+
+def reference_abs(r: Fraction, p: int) -> Fraction:
+    v = reference_valuation(r, p)
+    return Fraction(0) if v == math.inf else Fraction(p) ** -v
+
+
+def test_cold_and_warm_memo_agree_with_the_reference():
+    rng = random.Random(17)
+    cases = []
+    for p in (3, 5, 7, 11, 10**12 + 39):
+        for _ in range(150):
+            r, s = (rng.choice((0, 1, -1)) * Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
+                    * Fraction(p) ** rng.randint(-4, 4) for _ in range(2))
+            cases.append((r, s, p))
+    expected = [(reference_valuation(r, p), reference_abs(r, p), reference_abs(r + s, p),
+                 reference_abs(r + s, p) <= max(reference_abs(r, p), reference_abs(s, p)))
+                for r, s, p in cases]
+    _abs_from_valuation.cache_clear()
+    for sweep in ("cold", "warm"):
+        got = [(padic_valuation(r, p), padic_abs(r, p), padic_abs(r + s, p),
+                ultrametric_check(r, s, p)) for r, s, p in cases]
+        assert got == expected, sweep
+        assert [type(row[1]) for row in got] == [Fraction] * len(got), sweep
+    info = _abs_from_valuation.cache_info()
+    assert info.hits > info.misses  # the warm sweep answered from the memo
+
+
+def outcome(call):
+    try:
+        value = call()
+    except Exception as error:  # a refusal is behaviour too: its type and message
+        return type(error), str(error)
+    return type(value), value
+
+
+@pytest.mark.parametrize("v", [2.0, True], ids=repr)
+def test_memo_keys_are_typed(v):
+    _abs_from_valuation.cache_clear()
+    cold = outcome(lambda: abs_from_valuation(v, 5))
+    _abs_from_valuation.cache_clear()
+    assert abs_from_valuation(2, 5) == Fraction(1, 25)
+    assert abs_from_valuation(1, 5) == Fraction(1, 5)
+    assert outcome(lambda: abs_from_valuation(v, 5)) == cold
+    assert outcome(lambda: abs_from_valuation(2, 5)) == (Fraction, Fraction(1, 25))
+
+
+def test_memo_size_is_bounded():
+    _abs_from_valuation.cache_clear()
+    maxsize = _abs_from_valuation.cache_info().maxsize
+    assert isinstance(maxsize, int)
+    for v in range(-maxsize, maxsize):
+        assert abs_from_valuation(v, 3) == Fraction(3) ** -v
+    assert 0 < _abs_from_valuation.cache_info().currsize <= maxsize
+    assert padic_abs(Fraction(-18, 5), 3) == Fraction(1, 9)
+    assert _abs_from_valuation.cache_info().currsize <= maxsize

@@ -217,8 +217,9 @@ def test_pi_rational_refuses_deletion(slot):
     assert str(value) == "1/3·π" and value == PiRational(Fraction(1, 3), 1)
 
 
-VALID = [PrimePower(3, 2), parse_signature("0;2,3;1"), ReducedWeylWord(("w'", "w")),
-         JLClass(JLTag.RAMIFIED_CUSPIDAL, 4), PiRational(Fraction(-5, 4), -1)]
+TUPLE_VALUES = [PrimePower(3, 2), parse_signature("0;2,3;1"), ReducedWeylWord(("w'", "w")),
+                JLClass(JLTag.RAMIFIED_CUSPIDAL, 4)]
+VALID = TUPLE_VALUES + [PiRational(Fraction(-5, 4), -1)]
 COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy}
 COPIES.update({f"pickle{protocol}": lambda value, protocol=protocol:
                pickle.loads(pickle.dumps(value, protocol)) for protocol in range(6)})
@@ -240,6 +241,44 @@ def test_pi_rational_copies_and_pickles_through_its_constructor(how, monkeypatch
                         lambda self, *args: built.append(args) or init(self, *args))
     assert COPIES[how](value) == value
     assert built == [(value.coeff, value.pi_exp)]
+
+
+#: (a valid value, the pickled bytes of one of its fields, the bytes that replace
+#: them, the fields the tampered pickle then holds).  Protocol 0 writes fields as
+#: text, so the byte edits are made from protocol 1 up.
+TAMPERED = [
+    (PrimePower(3, 1), b"K\x03", b"K\x09", (9, 1)),
+    (PrimePower(3, 2), b"K\x02", b"K\x00", (3, 0)),
+    (parse_signature("0;-;3"), b"K\x03", b"K\x00", (0, (), 0)),
+    (ReducedWeylWord(("w", "w'")), b"w'", b"x'", (("w", "x'"),)),
+    (JLClass(JLTag.RAMIFIED_CUSPIDAL, 4), b"K\x04", b"K\x03", (JLTag.RAMIFIED_CUSPIDAL, 3)),
+]
+
+
+@pytest.mark.parametrize("protocol", range(1, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("value, old, new, fields", TAMPERED,
+                         ids=[f"{type(row[0]).__name__}{row[3]}" for row in TAMPERED])
+def test_a_tampered_pickle_runs_the_constructors_checks(value, old, new, fields, protocol):
+    cls = type(value)
+    stream = pickle.dumps(value, protocol)
+    assert stream.count(old) == 1
+    with pytest.raises(Exception) as refused:
+        cls(*fields)
+    with pytest.raises(Exception) as raised:
+        pickle.loads(stream.replace(old, new))
+    assert (type(raised.value), str(raised.value)) == (type(refused.value), str(refused.value))
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("value", TUPLE_VALUES,
+                         ids=[type(value).__name__ for value in TUPLE_VALUES])
+def test_value_types_copy_and_pickle_through_their_constructor(value, how, monkeypatch):
+    cls, built = type(value), []
+    init = cls.__init__
+    monkeypatch.setattr(cls, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert COPIES[how](value) == value
+    assert built == [tuple(value)]
 
 
 def test_cli_import_does_not_load_dataclasses():
