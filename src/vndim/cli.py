@@ -19,14 +19,14 @@ the dot to "*").  Text and csv print integers of any length exactly; JSON
 output refuses an integer longer than the interpreter's int-to-str limit
 (4300 digits by default) with TooLarge, and so does a rational or scalar flag,
 as int() does an integer flag.  All output is deterministic: LF line endings,
-record fields and JSON keys sorted.
+record fields and JSON keys sorted.  A csv cell is quoted, as the csv module's
+minimal quoting does, when it holds '"', ',' or a newline, each '"' inside it
+doubled; a row of one empty cell prints as "".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import operator
@@ -105,6 +105,8 @@ def _parse_jl_class(text: str) -> padic.JLClass:
 
 def _cell(value, fmt: str, ascii_pi: bool):
     """One value as a text cell, or as a JSON value when ``fmt`` is "json"."""
+    if isinstance(value, tuple):  # a Weyl word, of which a list has thousands: its text
+        return str(value)
     if isinstance(value, Fraction):
         value = PiRational(value)
     if isinstance(value, PiRational):
@@ -116,6 +118,12 @@ def _cell(value, fmt: str, ascii_pi: bool):
     if isinstance(value, bool):
         return "true" if value else "false"
     return int_text(value) if isinstance(value, int) else str(value)
+
+
+def _csv_cell(cell: str) -> str:
+    if '"' in cell or "," in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def render_result(result, fmt: str, ascii_pi: bool) -> str:
@@ -133,12 +141,10 @@ def render_result(result, fmt: str, ascii_pi: bool) -> str:
         rows = [[result[key] for key in columns]]
     else:
         columns = ["value"]
-        rows = [[value] for value in result] if isinstance(result, list) else [[result]]
+        rows = zip(result if isinstance(result, list) else [result])  # one-cell rows
     cells = [[_cell(value, fmt, ascii_pi) for value in row] for row in rows]
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([columns] + cells)
-        return out.getvalue()
+        return "".join((",".join(map(_csv_cell, row)) or '""') + "\n" for row in [columns] + cells)
     # JSON keeps a payload of each shape's own, and text a layout of its own.
     if isinstance(result, Table):
         payload = {"name": result.name, "columns": columns, "rows": cells}

@@ -176,13 +176,14 @@ class PrimePower(namedtuple("PrimePower", "p f")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
-    def __init__(self, p: int, f: int):
+    def __new__(cls, p: int, f: int):  # checks, for a pickle that calls it alone
         if not is_prime(p):
             raise NotPrimePower(f"{p} is not prime")
         if p == 2:
             raise EvenResidue("residue-field order must be odd")
         if f < 1:
             raise NotPrimePower(f"exponent must be >= 1, got {f}")
+        return tuple.__new__(cls, (p, f))
 
     @property
     def q(self) -> int:

@@ -56,10 +56,8 @@ class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders c
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
-    def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):
-        return tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
-
-    def __init__(self, genus: int, elliptic_orders=(), cusps: int = 0):
+    def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):  # checks, for pickle too
+        self = tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
         if genus < 0:
             raise InvalidSignature(f"genus must be >= 0, got {genus}")
         if cusps < 0:
@@ -72,6 +70,9 @@ class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders c
             area = self.area_factor()
             if area <= 0:
                 raise NonHyperbolic(f"signature {self} has Gauss-Bonnet area 2*pi*{area} <= 0")
+        return self
+
+    __init__ = lambda self, *args, **kwargs: None  # perfbench/spans.py times the class here
 
     def area_factor(self) -> Fraction:
         """The rational 2g - 2 + sum(1 - 1/m_j) + h; covolume is 2*pi times this."""

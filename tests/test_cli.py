@@ -1,4 +1,5 @@
 import argparse
+import csv
 import functools
 import io
 import json
@@ -19,7 +20,8 @@ from vndim import cli
 from vndim.cli import COMMON, OPERATIONS, main
 from vndim.exact import PiRational, int_text, parse_pi_rational
 from vndim.fuchsian import _CONGRUENCE_CATALOG
-from vndim.padic import JLTag
+from vndim.padic import JLTag, weyl_enumerate
+from vndim.tables import Table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -709,3 +711,74 @@ def test_long_weyl_sum_answers_exactly_and_fast(capsys):
 def test_weyl_word_list_past_the_guard_exits_two(capsys, length):
     assert run_cli(capsys, "padic", "weyl", "--max-length", length) == (
         2, "", f"error: TooLarge: word length bound {length} exceeds Weyl-word guard 2000\n")
+
+
+# -- csv quoting, against the stdlib csv writer ------------------------------------------
+
+
+def csv_oracle(result, ascii_pi):
+    """What the stdlib csv writer prints for the grid render_result lays ``result`` out as."""
+    if isinstance(result, tuple) and not isinstance(result, Table):
+        result = result._asdict()
+    if isinstance(result, Table):
+        columns, rows = result.columns, result.rows
+    elif isinstance(result, dict):
+        columns = sorted(result)
+        rows = [[result[key] for key in columns]]
+    else:
+        columns = ["value"]
+        rows = [[value] for value in (result if isinstance(result, list) else [result])]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [columns] + [[cli._cell(value, "csv", ascii_pi) for value in row] for row in rows])
+    return out.getvalue()
+
+
+RECORD_COMMANDS = [
+    ["padic", "valuation", "--r", "7/25", "--p", "5"],
+    ["padic", "valuation", "--r", "0", "--p", "5"],
+    ["padic", "level", "--n", "3", "--e", "2"],
+    ["padic", "haar", "--q", "5", "--norm", "khalf"],
+    ["padic", "lattice", "--q", "3", "--n", "4"],
+    ["fuchsian", "catalog", "--name", "H3"],
+    ["fuchsian", "catalog", "--name", "Gamma0(4)capGamma(2)"],
+    ["ff", "orders", "--q", "9"],
+    ["ff", "enumerate", "--q", "3"],
+    ["ff", "normtrace", "--q", "5"],
+    ["ff", "repdims", "--q", "7"],
+]
+
+
+@pytest.mark.parametrize("ascii_pi", [False, True], ids=["unicode", "ascii"])
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_COMMANDS] + RECORD_COMMANDS,
+                         ids=lambda argv: " ".join(argv))
+def test_csv_output_matches_the_csv_module(capsys, monkeypatch, argv, ascii_pi):
+    results, render = [], cli.render_result
+    monkeypatch.setattr(cli, "render_result",
+                        lambda result, *args: results.append(result) or render(result, *args))
+    code, out, err = run_cli(capsys, *argv, "--format", "csv", *["--ascii"] * ascii_pi)
+    assert (code, err) == (0, "")
+    [result] = results
+    assert isinstance(result, (dict, tuple)) or argv not in RECORD_COMMANDS
+    assert out == csv_oracle(result, ascii_pi)
+
+
+@pytest.mark.parametrize("max_length", [0, 1, 2, 3, 57, 2000])
+def test_weyl_word_csv_matches_the_csv_module(max_length):
+    words = weyl_enumerate(max_length)
+    assert cli.render_result(words, "csv", False) == csv_oracle(words, False)
+
+
+#: Cells over the characters vndim prints, with the ones csv quotes among them
+#: (a bare carriage return, which csv on 3.11 does not quote, vndim never prints).
+CSV_CELLS = st.text(alphabet="w'19-/;,\"π·*()=: jpi\n", max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(CSV_CELLS, min_size=width, max_size=width),
+    st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=4))))
+def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(grid):
+    columns, rows = grid
+    table = Table("drawn", tuple(columns), rows)
+    assert cli.render_result(table, "csv", False) == csv_oracle(table, False)

@@ -1,3 +1,4 @@
+import copyreg
 import math
 import random
 from decimal import Decimal
@@ -260,6 +261,22 @@ def test_reduced_word_check_on_every_short_word_and_every_reduced_one():
             assert_word_checked_as_the_letter_scan_checks(letters)
     for word in weyl_enumerate(12):  # the 25 reduced words, each accepted
         assert_word_checked_as_the_letter_scan_checks(word.letters)
+
+
+def test_word_text_is_its_letters_joined():
+    for max_length in [*range(61), WEYL_LENGTH_GUARD]:
+        for word in weyl_enumerate(max_length):
+            assert str(word) == ("".join(word.letters) or "1"), (max_length, word.length)
+    # longer words than any list holds, built directly
+    for letters in (("w", "w'") * 1001, ("w'", "w") * 1000 + ("w'",)):
+        assert str(ReducedWeylWord(letters)) == "".join(letters)
+
+
+def test_a_word_built_by_new_alone_is_checked():
+    # copyreg.__newobj__ is how a pickle stream builds a value without calling its class
+    with pytest.raises(ValueError) as refused:
+        copyreg.__newobj__(ReducedWeylWord, ("w", "w"))
+    assert str(refused.value) == "word ('w', 'w') is not reduced"
 
 
 def test_weyl_partial_sums():

@@ -8,6 +8,7 @@ included, is built only through its constructor's checks.
 """
 
 import copy
+import copyreg
 import os
 import pickle
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import vndim
+from vndim.errors import NotPrimePower
 from vndim.exact import PiRational
 from vndim.finite_field import (
     EnumeratedOrders,
@@ -269,14 +271,42 @@ def test_a_tampered_pickle_runs_the_constructors_checks(value, old, new, fields,
     assert (type(raised.value), str(raised.value)) == (type(refused.value), str(refused.value))
 
 
+#: The bytes of pickle.dumps(PrimePower(3, 1), 4) as namedtuple's own pickling
+#: writes them: NEWOBJ, which calls PrimePower.__new__ and not the class.
+NEWOBJ_PRIME_POWER = (b"\x80\x04\x95-\x00\x00\x00\x00\x00\x00\x00\x8c\x12vndim.finite_field"
+                      b"\x94\x8c\nPrimePower\x94\x93\x94K\x03K\x01\x86\x94\x81\x94.")
+
+
+def test_a_newobj_pickle_of_a_prime_power_runs_its_checks():
+    assert pickle.loads(NEWOBJ_PRIME_POWER) == PrimePower(3, 1)
+    with pytest.raises(NotPrimePower) as raised:
+        pickle.loads(NEWOBJ_PRIME_POWER.replace(b"K\x03", b"K\x09"))
+    assert str(raised.value) == "9 is not prime"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls, valid, invalid", INVALID,
+                         ids=[f"{row[0].__name__}{row[2]}" for row in INVALID])
+def test_a_newobj_pickle_runs_the_constructors_checks(cls, valid, invalid, protocol, monkeypatch):
+    with pytest.raises(Exception) as refused:
+        cls(*invalid)
+    # Written as namedtuple's own pickling writes a value: through copyreg.__newobj__.
+    monkeypatch.setattr(cls, "__reduce__", lambda self: (copyreg.__newobj__, (cls, *invalid)))
+    stream = pickle.dumps(cls(*valid), protocol)
+    monkeypatch.undo()
+    with pytest.raises(Exception) as raised:
+        pickle.loads(stream)
+    assert (type(raised.value), str(raised.value)) == (type(refused.value), str(refused.value))
+
+
 @pytest.mark.parametrize("how", COPIES)
 @pytest.mark.parametrize("value", TUPLE_VALUES,
                          ids=[type(value).__name__ for value in TUPLE_VALUES])
 def test_value_types_copy_and_pickle_through_their_constructor(value, how, monkeypatch):
     cls, built = type(value), []
-    init = cls.__init__
-    monkeypatch.setattr(cls, "__init__",
-                        lambda self, *args: built.append(args) or init(self, *args))
+    new = cls.__new__  # the checks run here
+    monkeypatch.setattr(cls, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
     assert COPIES[how](value) == value
     assert built == [tuple(value)]
 
