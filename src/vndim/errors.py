@@ -87,8 +87,8 @@ class TooLarge(DomainError):
     * finite_field.FIELD_GUARD = 10**4: the most elements a field model holds, or
       a brute-force enumeration scans (q^2 elements of F_{q^2}, pairs or indices);
     * finite_field.PRIME_BITS_GUARD = 3200: the most bits of a q with no prime
-      factor up to 41 (PrimePower.from_int), or of a p (the p-adic checks of p),
-      that is tested for primality;
+      factor up to 41 (PrimePower.from_int), or of a p (PrimePower(p, f) and the
+      p-adic checks of p), that is tested for primality;
     * padic.WEYL_LENGTH_GUARD = 2000: the longest Weyl-word list;
     * padic.RESULT_DIGIT_GUARD = 45 000: the most digits of the power q^L in a
       Weyl partial sum, or of the power of p in a formal dimension of the

@@ -28,16 +28,11 @@ def int_text(n: int) -> str:
     into halves, each converted the same way."""
     if n < 0:
         return "-" + int_text(-n)
-    return _digits(n, 0)
-
-
-def _digits(n: int, width: int) -> str:
-    """n >= 0 in decimal, zero-padded on the left to at least width digits."""
     half = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
     if half < _CHUNK_DIGITS:
-        return str(n).zfill(width)
+        return str(n)
     high, low = divmod(n, 10**half)
-    return _digits(high, width - half) + _digits(low, half)
+    return int_text(high) + int_text(low).zfill(half)
 
 
 class PiRational:

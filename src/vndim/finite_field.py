@@ -35,9 +35,9 @@ from .errors import EvenResidue, NotPrimePower, TooLarge
 #: and so is an enumeration of more q^2 elements of F_{q^2}, pairs or indices.
 FIELD_GUARD = 10**4
 
-#: Primality guard: PrimePower.from_int, and the p-adic checks of p, refuse a
-#: number of more bits than this that they would test for primality; a prime at
-#: the bound takes about 0.4 s to test.  is_prime itself takes any n.
+#: Primality guard: PrimePower(p, f) and from_int, and the p-adic checks of p,
+#: refuse a number of more bits than this that they would test for primality; a
+#: prime at the bound takes about 0.4 s to test.  is_prime itself takes any n.
 PRIME_BITS_GUARD = 3200
 
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
@@ -177,6 +177,7 @@ class PrimePower(namedtuple("PrimePower", "p f")):
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, p: int, f: int):  # checks, for a pickle that calls it alone
+        _check_prime_bits(p, "p")
         if not is_prime(p):
             raise NotPrimePower(f"{p} is not prime")
         if p == 2:

@@ -13,7 +13,7 @@ import pytest
 
 import vndim
 from vndim.cli import main, render_result
-from vndim.errors import NotPrime, TooLarge
+from vndim.errors import NotPrime, NotPrimePower, TooLarge
 from vndim.exact import PiRational, int_text
 from vndim.finite_field import PRIME_BITS_GUARD, PrimePower, is_prime
 from vndim.fuchsian import GroupMode, formal_dimension_psl
@@ -178,6 +178,15 @@ def test_the_prime_guard_is_a_bit_length():
         padic_valuation(1, 3 << 3198)
     with pytest.raises(TooLarge, match="^p of 3201 bits exceeds primality guard 3200 bits$"):
         padic_valuation(1, (1 << 3200) + 1)
+    # and so is the p of PrimePower(p, f): a prime past the guard is refused untested
+    with pytest.raises(NotPrimePower):
+        PrimePower(3 << 3198, 1)
+    with pytest.raises(TooLarge, match="^p of 3201 bits exceeds primality guard 3200 bits$"):
+        PrimePower((1 << 3200) + 1, 1)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^p of 11213 bits exceeds primality guard 3200 bits$"):
+        PrimePower(2**11213 - 1, 1)  # a Mersenne prime
+    assert time.perf_counter() - start < 0.1
     # is_prime itself stays total
     assert is_prime(10**4299 + 1) is False
     assert quadratic_extension_count(2**2281 - 1) == 3  # a Mersenne prime under the guard

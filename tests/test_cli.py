@@ -112,9 +112,10 @@ def test_unknown_group_is_usage_error(capsys):
 
 
 def test_unknown_verb_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "fuchsian", "frobnicate")
-    assert code == 1
-    assert "vndim" in err
+    for group, verb in (("fuchsian", "frobnicate"), ("padic", "nosuch")):
+        code, out, err = run_cli(capsys, group, verb)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: vndim {group} [-h] VERB ...\n")
 
 
 def test_bad_integer_flag_is_usage_error(capsys):
@@ -246,9 +247,11 @@ def test_nu_keywords(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "fuchsian", "--help")[0] == 0
-    for op in OPERATIONS:  # each group, then each of its verbs
+    for op in OPERATIONS:  # each group, then each of its verbs, listing its flags
         argv = [op.group] if op.verb is None else [op.group, op.verb]
-        assert run_cli(capsys, *argv, "--help")[0] == 0, argv
+        code, out, _ = run_cli(capsys, *argv, "--help")
+        assert code == 0, argv
+        assert all(param.flag in out for param in op.params), argv
 
 
 def test_readme_verb_table_matches_registry():
@@ -304,6 +307,8 @@ PADIC_5_2_COLUMNS = ["n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal"]
 
 RENDERED = [
     # scalar
+    (["padic", "vndim", "--q", "3", "--n", "4", "--rep", "cuspidal", "--format", "json"],
+     '{"den": 1, "num": 6, "pi_exp": 0}\n'),
     (["fuchsian", "covolume", "--sig", "0;2,3;1"], "1/3·π\n"),
     (["fuchsian", "covolume", "--sig", "0;2,3;1", "--ascii"], "1/3*pi\n"),
     (["fuchsian", "covolume", "--sig", "0;2,3;1", "--format", "json"],
@@ -317,9 +322,12 @@ RENDERED = [
      '{"abs": {"den": 1, "num": 25, "pi_exp": 0}, "valuation": -2}\n'),
     (["padic", "valuation", "--r", "7/25", "--p", "5", "--format", "csv"],
      "abs,valuation\n25,-2\n"),
+    (["padic", "valuation", "--r=-18/5", "--p", "3"], "abs=1/9\nvaluation=2\n"),
     (["fuchsian", "catalog", "--name", "H3"], "covolume=1/3·π\nsignature=0;2,3;1\n"),
     (["fuchsian", "catalog", "--name", "H3", "--format", "json"],
      '{"covolume": {"den": 3, "num": 1, "pi_exp": 1}, "signature": "0;2,3;1"}\n'),
+    (["fuchsian", "catalog", "--name", "H3", "--format", "csv"],
+     'covolume,signature\n1/3·π,"0;2,3;1"\n'),
     (["fuchsian", "catalog", "--name", "H3", "--format", "csv", "--ascii"],
      'covolume,signature\n1/3*pi,"0;2,3;1"\n'),
     # namedtuple record
@@ -339,11 +347,15 @@ RENDERED = [
     (["ff", "isregular", "--q", "3", "--a", "4"], "false\n"),
     (["ff", "isregular", "--q", "3", "--a", "1", "--format", "json"], "true\n"),
     (["ff", "isregular", "--q", "3", "--a", "1", "--format", "csv"], "value\ntrue\n"),
+    (["padic", "ultrametric", "--r", "1/3", "--s", "2/3", "--p", "3"], "true\n"),
     # word list
     (["padic", "weyl", "--max-length", "2"], "1\nw\nw'\nww'\nw'w\n"),
     (["padic", "weyl", "--max-length", "2", "--format", "json"],
      '["1", "w", "w\'", "ww\'", "w\'w"]\n'),
     (["padic", "weyl", "--max-length", "2", "--format", "csv"], "value\n1\nw\nw'\nww'\nw'w\n"),
+    (["padic", "weyl", "--max-length", "3"], "1\nw\nw'\nww'\nw'w\nww'w\nw'ww'\n"),
+    (["padic", "weyl", "--max-length", "3", "--format", "csv"],
+     "value\n1\nw\nw'\nww'\nw'w\nww'w\nw'ww'\n"),
     # non-empty table
     (["table", "free-congruence"],
      "group                 signature  free_rank  covolume\n"
@@ -420,6 +432,21 @@ def test_zero_compares_against_pi_multiples(capsys, a, b, expected):
 def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, *argv) == (1, "", expected)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["ff", "countregular", "--q", "3", "--nu", "abc"],
+     "error: DomainError: --nu must be an integer index, 'trivial', or 'sign'; got 'abc'\n"),
+    (["fuchsian", "covolume", "--sig", "x;-;3"],
+     "error: InvalidSignature: malformed signature 'x;-;3': "
+     "invalid literal for int() with base 10: 'x'\n"),
+    (["table", "hecke:2"], "error: UnknownTable: hecke table needs qmax >= 3, got 2\n"),
+    (["table", "hecke:x"], "error: UnknownTable: malformed table name 'hecke:x'\n"),
+    (["exact", "mul", "--a", "2*pi)", "--b", "1"],
+     "error: DomainError: cannot parse exact scalar '2*pi)': cannot parse scalar '2*pi)'\n"),
+])
+def test_domain_error_bytes(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (2, "", expected)
 
 
 @pytest.mark.parametrize("q,n,error", [

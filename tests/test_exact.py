@@ -150,6 +150,25 @@ def test_mul_is_exact_inverse_roundtrip():
         assert (a * b) / b == a
 
 
+def test_division_by_a_plain_number_and_the_inverse_of_zero():
+    assert PI / 2 == PiRational(Fraction(1, 2), 1)
+    with pytest.raises(ZeroDivisionError, match="^inverse of exact zero$"):
+        PiRational(0).inverse()
+
+
+def test_equality_with_plain_numbers():
+    assert PiRational(3) == 3 and PiRational(Fraction(1, 2)) == Fraction(1, 2)
+    assert not PI == 1  # a pi factor is never a plain number
+    assert PiRational(1).__eq__("1") is NotImplemented
+    assert not PiRational(1) == "1"
+
+
+def test_as_rational_refuses_a_pi_factor():
+    assert PiRational(Fraction(5, 2)).as_rational() == Fraction(5, 2)
+    with pytest.raises(IncomparableExponents, match="^value has a pi factor; it is not rational$"):
+        PI.as_rational()
+
+
 @pytest.mark.parametrize(
     "value,unicode_text,ascii_text",
     [

@@ -245,11 +245,22 @@ def test_pi_rational_copies_and_pickles_through_its_constructor(how, monkeypatch
     assert built == [(value.coeff, value.pi_exp)]
 
 
+#: A Mersenne prime of 11213 bits, past PRIME_BITS_GUARD: testing it takes seconds.
+M11213 = 2**11213 - 1
+
+
+def long4(n):
+    """The pickle opcode LONG4 that pushes the int n >= 0; every protocol loads it."""
+    data = n.to_bytes(n.bit_length() // 8 + 1, "little")
+    return pickle.LONG4 + len(data).to_bytes(4, "little") + data
+
+
 #: (a valid value, the pickled bytes of one of its fields, the bytes that replace
 #: them, the fields the tampered pickle then holds).  Protocol 0 writes fields as
 #: text, so the byte edits are made from protocol 1 up.
 TAMPERED = [
     (PrimePower(3, 1), b"K\x03", b"K\x09", (9, 1)),
+    (PrimePower(3, 1), b"K\x03", long4(M11213), (M11213, 1)),
     (PrimePower(3, 2), b"K\x02", b"K\x00", (3, 0)),
     (parse_signature("0;-;3"), b"K\x03", b"K\x00", (0, (), 0)),
     (ReducedWeylWord(("w", "w'")), b"w'", b"x'", (("w", "x'"),)),
@@ -259,7 +270,8 @@ TAMPERED = [
 
 @pytest.mark.parametrize("protocol", range(1, pickle.HIGHEST_PROTOCOL + 1))
 @pytest.mark.parametrize("value, old, new, fields", TAMPERED,
-                         ids=[f"{type(row[0]).__name__}{row[3]}" for row in TAMPERED])
+                         ids=[f"{type(row[0]).__name__}{row[3]}".replace(str(M11213), "M11213")
+                              for row in TAMPERED])
 def test_a_tampered_pickle_runs_the_constructors_checks(value, old, new, fields, protocol):
     cls = type(value)
     stream = pickle.dumps(value, protocol)
