@@ -114,7 +114,7 @@ def _cell(value, fmt: str, ascii_pi: bool):
     if isinstance(value, float) and math.isinf(value):
         return "inf"  # the valuation of zero
     if fmt == "json":
-        return value if isinstance(value, (bool, int, str)) else str(value)
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     return int_text(value) if isinstance(value, int) else str(value)

@@ -122,7 +122,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, in O(log^3 n) bit operations.
+    """Whether n is prime, in O(log^3 n) bit operations; False for anything but an int.
 
     Trial division by the primes up to 41 settles those primes and every n
     below 41^2.  Below 3 317 044 064 679 887 385 961 981, strong Miller-Rabin
@@ -131,8 +131,8 @@ def is_prime(n: int) -> bool:
     decides: a strong test to base 2 and a strong Lucas test.  No composite is
     known to pass Baillie-PSW, but none has been proven not to exist.
     """
-    if n <= 41:
-        return n in _SMALL_PRIMES
+    if type(n) is not int or n <= 41:
+        return type(n) is int and n in _SMALL_PRIMES  # 3.0, True and "3" are not prime
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False
@@ -144,8 +144,8 @@ def is_prime(n: int) -> bool:
 
 
 def _check_prime_bits(n: int, what: str) -> None:
-    """TooLarge when n has more bits than PRIME_BITS_GUARD."""
-    if n.bit_length() > PRIME_BITS_GUARD:
+    """TooLarge when n is an int of more bits than PRIME_BITS_GUARD (is_prime refuses a non-int)."""
+    if type(n) is int and n.bit_length() > PRIME_BITS_GUARD:
         raise TooLarge(f"{what} of {n.bit_length()} bits exceeds primality guard "
                        f"{PRIME_BITS_GUARD} bits")
 
@@ -169,12 +169,18 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-class PrimePower(namedtuple("PrimePower", "p f")):
-    """q = p^f with p an odd prime; immutable, validated at construction."""
+class _Sealed:
+    """First base of each checked value type, so that its _make wins over namedtuple's."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
     __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
+
+
+class PrimePower(_Sealed, namedtuple("PrimePower", "p f")):
+    """q = p^f with p an odd prime and f >= 1, both ints; immutable, validated at construction."""
+
+    __slots__ = ()
 
     def __new__(cls, p: int, f: int):  # checks, for a pickle that calls it alone
         _check_prime_bits(p, "p")
@@ -182,6 +188,8 @@ class PrimePower(namedtuple("PrimePower", "p f")):
             raise NotPrimePower(f"{p} is not prime")
         if p == 2:
             raise EvenResidue("residue-field order must be odd")
+        if type(f) is not int:
+            raise NotPrimePower(f"exponent must be an integer, got {f!r}")
         if f < 1:
             raise NotPrimePower(f"exponent must be >= 1, got {f}")
         return tuple.__new__(cls, (p, f))
@@ -200,6 +208,8 @@ class PrimePower(namedtuple("PrimePower", "p f")):
         prime power exactly when r is prime.  Such a q is refused with
         TooLarge past PRIME_BITS_GUARD bits.
         """
+        if type(q) is not int:
+            raise NotPrimePower(f"{q!r} is not an integer prime power")
         if q % 2 == 0:
             raise EvenResidue(f"residue-field order must be odd, got {q}")
         if q < 3:

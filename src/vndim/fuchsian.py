@@ -35,6 +35,7 @@ from .errors import (
     UnknownGroup,
 )
 from .exact import PiRational
+from .finite_field import _Sealed
 
 
 class GroupMode(enum.Enum):
@@ -44,20 +45,20 @@ class GroupMode(enum.Enum):
     SL2R = "sl"
 
 
-class FuchsianSignature(namedtuple("FuchsianSignature", "genus elliptic_orders cusps")):
+class FuchsianSignature(_Sealed, namedtuple("FuchsianSignature", "genus elliptic_orders cusps")):
     """Signature (genus; elliptic orders; cusps) of a Fuchsian group of the first kind.
 
-    Validity (each order >= 2, Gauss-Bonnet area strictly positive) is enforced
-    here, at construction, so every downstream formula may assume a genuine
-    lattice.  ``elliptic_orders`` is always a tuple.
+    Validity (int genus and cusps, each order an int >= 2, Gauss-Bonnet area
+    strictly positive) is enforced here, at construction, so every downstream
+    formula may assume a genuine lattice.  ``elliptic_orders`` is always a tuple.
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
-    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):  # checks, for pickle too
         self = tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
+        if type(genus) is not int or type(cusps) is not int:
+            raise InvalidSignature(f"genus and cusp count must be ints, got {genus!r}, {cusps!r}")
         if genus < 0:
             raise InvalidSignature(f"genus must be >= 0, got {genus}")
         if cusps < 0:

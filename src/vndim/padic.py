@@ -46,7 +46,7 @@ from .errors import (
     OddRamifiedConductor,
     TooLarge,
 )
-from .finite_field import _check_prime_bits, as_prime_power, is_prime
+from .finite_field import _Sealed, _check_prime_bits, as_prime_power, is_prime
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
 INFINITE_VALUATION = math.inf
@@ -67,10 +67,10 @@ def _check_digits(base: int, exponent: int) -> None:
                        f"result-digit guard {RESULT_DIGIT_GUARD}")
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(p: int, refusal: str = "{} is not prime") -> None:
     _check_prime_bits(p, "p")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(refusal.format(p))
 
 
 def padic_valuation(r: Fraction, p: int):
@@ -172,7 +172,7 @@ _ALTERNATING = _LETTERS * (WEYL_LENGTH_GUARD // 2 + 1)
 _TEXTS = ("ww'" * (WEYL_LENGTH_GUARD // 2 + 1), "w'w" * (WEYL_LENGTH_GUARD // 2 + 1))
 
 
-class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
+class ReducedWeylWord(_Sealed, namedtuple("ReducedWeylWord", "letters")):
     """Reduced word in the infinite dihedral group on two involutions w, w'.
 
     Reduced means no two adjacent letters are equal (the only relations are
@@ -181,8 +181,6 @@ class ReducedWeylWord(namedtuple("ReducedWeylWord", "letters")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
-    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, letters=()):
         # Checked here, for pickle too.  A reduced word alternates from its first letter:
@@ -371,7 +369,7 @@ class JLTag(enum.Enum):
     RAMIFIED_CUSPIDAL = "ram"
 
 
-class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
+class JLClass(_Sealed, namedtuple("JLClass", "tag conductor", defaults=(0,))):
     """Discrete-series class seen through the quaternion side of the correspondence.
 
     Cuspidal classes carry the conductor j of the character in a minimal
@@ -380,10 +378,10 @@ class JLClass(namedtuple("JLClass", "tag conductor", defaults=(0,))):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it too
-    __reduce__ = lambda self: (type(self), tuple(self))  # copy and pickle call the class
 
     def __new__(cls, tag: JLTag, conductor: int = 0):  # checks, for a pickle that calls it alone
+        if not isinstance(tag, JLTag) or type(conductor) is not int:
+            raise ValueError(f"need a JLTag and an int conductor, got {tag!r}, {conductor!r}")
         if tag is JLTag.GENERALIZED_SPECIAL:
             if conductor:
                 raise ValueError("generalized special classes carry no conductor")
@@ -436,9 +434,7 @@ def jl_formal_dim(p: int, cls: JLClass) -> int:
 
 
 def _check_jl_prime(p: int) -> None:
-    _check_prime_bits(p, "p")
-    if not is_prime(p):
-        raise NotPrime(f"the formal-dimension table needs a prime p, got {p}")
+    _check_prime(p, "the formal-dimension table needs a prime p, got {}")
     if p == 2:
         raise EvenResidue("the formal-dimension table assumes odd residue order")
 

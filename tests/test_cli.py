@@ -153,6 +153,12 @@ def test_internal_fault_exits_three_and_an_interrupt_propagates(capsys, monkeypa
         main(argv)
 
 
+def test_a_result_json_cannot_carry_is_an_internal_fault(capsys, monkeypatch):
+    monkeypatch.setattr(cli.padic, "quadratic_extension_count", lambda p: object())
+    assert run_cli(capsys, "padic", "quadext", "--p", "3", "--format", "json") == (
+        3, "", "internal error: TypeError: Object of type object is not JSON serializable\n")
+
+
 # -- formats ----------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import functools
 import time
 from collections import namedtuple
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -201,6 +202,11 @@ def test_is_prime_matches_a_sieve():
     assert len(primes) == 9592
     for n in range(-3, ORACLE_LIMIT):
         assert is_prime(n) == (n in primes), n
+
+
+def test_is_prime_answers_false_for_anything_but_an_int():
+    assert [is_prime(n) for n in (3.0, True, "3", Fraction(3))] == [False] * 4
+    assert is_prime(3) and not is_prime(9)
 
 
 def parse_outcome(n):

@@ -555,6 +555,26 @@ def test_p_is_tested_once(monkeypatch, capsys, call):
     assert calls == [3]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: padic_valuation(Fraction(9), 3.0), "3.0 is not prime"),
+    (lambda: padic_abs(Fraction(9), 3.0), "3.0 is not prime"),
+    (lambda: ultrametric_check(Fraction(1), Fraction(2), 3.0), "3.0 is not prime"),
+    (lambda: quadratic_extension_count(3.0), "3.0 is not prime"),
+    (lambda: jl_formal_dim(3.0, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
+     "the formal-dimension table needs a prime p, got 3.0"),
+], ids=["padic_valuation", "padic_abs", "ultrametric_check", "quadratic_extension_count",
+        "jl_formal_dim"])
+def test_a_float_p_is_refused_after_one_test(monkeypatch, call, message):
+    import vndim.padic as padic
+
+    calls = []
+    is_prime = padic.is_prime
+    monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    with pytest.raises(NotPrime) as raised:
+        call()
+    assert (str(raised.value), calls) == (message, [3.0])
+
+
 def test_one_test_of_p_still_refuses_a_composite():
     for call in (lambda: padic_abs(Fraction(1), 9),
                  lambda: ultrametric_check(Fraction(1), Fraction(2), 9)):

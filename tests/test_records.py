@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import vndim
-from vndim.errors import NotPrimePower
+from vndim.errors import DomainError, NotPrimePower
 from vndim.exact import PiRational
 from vndim.finite_field import (
     EnumeratedOrders,
@@ -170,6 +170,20 @@ def test_sequences_are_normalised_to_tuples():
     (lambda: ReducedWeylWord(("w'", "w", "w")), "ValueError",
      "word (\"w'\", 'w', 'w') is not reduced"),
     (lambda: ReducedWeylWord("ww"), "ValueError", "word ('w', 'w') is not reduced"),
+    (lambda: PrimePower(3.0, 1), "NotPrimePower", "3.0 is not prime"),
+    (lambda: PrimePower(9.0, 1), "NotPrimePower", "9.0 is not prime"),
+    (lambda: PrimePower(3, 1.5), "NotPrimePower", "exponent must be an integer, got 1.5"),
+    (lambda: PrimePower.from_int(3.5), "NotPrimePower", "3.5 is not an integer prime power"),
+    (lambda: PrimePower.from_int(9.0), "NotPrimePower", "9.0 is not an integer prime power"),
+    (lambda: FuchsianSignature(0, (), 3.5), "InvalidSignature",
+     "genus and cusp count must be ints, got 0, 3.5"),
+    (lambda: FuchsianSignature(0.5, (), 3), "InvalidSignature",
+     "genus and cusp count must be ints, got 0.5, 3"),
+    (lambda: JLClass("unram", 3), "ValueError",
+     "need a JLTag and an int conductor, got 'unram', 3"),
+    (lambda: JLClass("ram", 3), "ValueError", "need a JLTag and an int conductor, got 'ram', 3"),
+    (lambda: JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2.5), "ValueError",
+     "need a JLTag and an int conductor, got <JLTag.UNRAMIFIED_CUSPIDAL: 'unram'>, 2.5"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_validation_errors_and_their_order(build, error, message):
     with pytest.raises(Exception) as raised:
@@ -188,6 +202,13 @@ INVALID = [
     (ReducedWeylWord, (("w", "w'"),), (("w", "x"),)),
     (JLClass, (JLTag.RAMIFIED_CUSPIDAL, 4), (JLTag.RAMIFIED_CUSPIDAL, 3)),
     (JLClass, (JLTag.GENERALIZED_SPECIAL, 0), (JLTag.GENERALIZED_SPECIAL, 2)),
+    (PrimePower, (3, 2), (3.0, 1)),
+    (PrimePower, (3, 2), (3, 1.5)),
+    (FuchsianSignature, (0, (), 3), (0, (), 3.5)),
+    (FuchsianSignature, (0, (), 3), (0.5, (), 3)),
+    (JLClass, (JLTag.RAMIFIED_CUSPIDAL, 4), ("unram", 3)),
+    (JLClass, (JLTag.RAMIFIED_CUSPIDAL, 4), ("ram", 3)),
+    (JLClass, (JLTag.UNRAMIFIED_CUSPIDAL, 2), (JLTag.UNRAMIFIED_CUSPIDAL, 2.5)),
 ]
 
 
@@ -203,6 +224,16 @@ def test_make_and_replace_run_the_constructors_checks(cls, valid, invalid):
             build()
         assert (type(raised.value), str(raised.value)) == (
             type(refused.value), str(refused.value)), path
+
+
+def test_make_and_replace_of_valid_fields_return_the_new_value():
+    made, replaced = PrimePower._make([5, 2]), PrimePower(3, 2)._replace(f=3)
+    assert (type(made), type(replaced)) == (PrimePower, PrimePower)
+    assert (made.q, replaced.q) == (25, 27)
+    made = JLClass._make([JLTag.UNRAMIFIED_CUSPIDAL, 3])
+    replaced = made._replace(tag=JLTag.RAMIFIED_CUSPIDAL, conductor=6)
+    assert (type(made), type(replaced)) == (JLClass, JLClass)
+    assert (str(made), str(replaced)) == ("unram:j=3", "ram:j=6")
 
 
 def test_make_normalises_as_the_constructor_does():
@@ -312,6 +343,18 @@ def test_a_newobj_pickle_runs_the_constructors_checks(cls, valid, invalid, proto
 
 
 @pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("cls, valid, invalid", INVALID,
+                         ids=[f"{row[0].__name__}{row[2]}" for row in INVALID])
+def test_a_forged_value_does_not_survive_a_copy_or_a_pickle(cls, valid, invalid, how):
+    with pytest.raises((DomainError, ValueError)) as refused:  # not AttributeError or TypeError
+        cls(*invalid)
+    forged = tuple.__new__(cls, invalid)  # past the checks, as no public path builds it
+    with pytest.raises(Exception) as raised:
+        COPIES[how](forged)
+    assert (type(raised.value), str(raised.value)) == (type(refused.value), str(refused.value))
+
+
+@pytest.mark.parametrize("how", COPIES)
 @pytest.mark.parametrize("value", TUPLE_VALUES,
                          ids=[type(value).__name__ for value in TUPLE_VALUES])
 def test_value_types_copy_and_pickle_through_their_constructor(value, how, monkeypatch):
@@ -321,6 +364,20 @@ def test_value_types_copy_and_pickle_through_their_constructor(value, how, monke
                         lambda cls, *args: built.append(args) or new(cls, *args))
     assert COPIES[how](value) == value
     assert built == [tuple(value)]
+
+
+def test_every_checked_value_type_has_the_sealing_base_before_its_namedtuple():
+    from vndim.finite_field import _Sealed
+
+    # Every namedtuple subclass with a __new__ of its own that vndim exports; cli.Op,
+    # whose __new__ takes *params, is not exported.
+    checked = {name: obj for name, obj in vars(vndim).items() if isinstance(obj, type)
+               and issubclass(obj, tuple) and hasattr(obj, "_fields") and "__new__" in vars(obj)}
+    assert sorted(checked) == ["FuchsianSignature", "JLClass", "PrimePower", "ReducedWeylWord"]
+    for cls in checked.values():
+        generated = next(base for base in cls.__mro__ if "_fields" in vars(base))
+        assert cls.__mro__.index(_Sealed) < cls.__mro__.index(generated), cls
+        assert "_make" not in vars(cls) and "__reduce__" not in vars(cls), cls
 
 
 def test_cli_import_does_not_load_dataclasses():
