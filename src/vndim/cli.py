@@ -105,8 +105,6 @@ def _parse_jl_class(text: str) -> padic.JLClass:
 
 def _cell(value, fmt: str, ascii_pi: bool):
     """One value as a text cell, or as a JSON value when ``fmt`` is "json"."""
-    if isinstance(value, tuple):  # a Weyl word, of which a list has thousands: its text
-        return str(value)
     if isinstance(value, Fraction):
         value = PiRational(value)
     if isinstance(value, PiRational):
@@ -129,37 +127,39 @@ def _csv_cell(cell: str) -> str:
 def render_result(result, fmt: str, ascii_pi: bool) -> str:
     """Turn a handler result (scalar, record, word list, or Table) into text.
 
-    A record is a dict or a namedtuple; the library returns no other tuple."""
+    A word list or a scalar is one flat "value" column, with no row container
+    per word; a record (a dict or a namedtuple; the library returns no other
+    tuple) is one row of its sorted fields, and a Table its own rows."""
     if isinstance(result, tuple) and not isinstance(result, Table):
         result = result._asdict()
-    # One grid for every shape: a record is one row of its sorted fields, and a word
-    # list or a scalar is a one-column "value" table.
+    if not isinstance(result, (Table, dict)):
+        words = isinstance(result, list)  # only weyl_enumerate returns a list
+        column = list(map(str, result)) if words else [_cell(result, fmt, ascii_pi)]
+        if fmt == "json":
+            return _json_text(column if words else column[0])
+        if fmt == "csv":
+            column = ["value"] + [_csv_cell(cell) or '""' for cell in column]
+        return "".join(cell + "\n" for cell in column)
     if isinstance(result, Table):
         columns, rows = list(result.columns), result.rows
-    elif isinstance(result, dict):
+    else:
         columns = sorted(result)
         rows = [[result[key] for key in columns]]
-    else:
-        columns = ["value"]
-        rows = zip(result if isinstance(result, list) else [result])  # one-cell rows
     cells = [[_cell(value, fmt, ascii_pi) for value in row] for row in rows]
     if fmt == "csv":
         return "".join((",".join(map(_csv_cell, row)) or '""') + "\n" for row in [columns] + cells)
-    # JSON keeps a payload of each shape's own, and text a layout of its own.
-    if isinstance(result, Table):
-        payload = {"name": result.name, "columns": columns, "rows": cells}
-        if fmt == "text":  # aligned columns under a header
-            widths = [max(map(len, column)) for column in zip(columns, *cells)]
-            return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-                           for row in [columns] + cells)
-    elif isinstance(result, dict):
-        payload = dict(zip(columns, cells[0]))
+    if isinstance(result, dict):
         if fmt == "text":
-            return "".join(f"{key}={cell}\n" for key, cell in payload.items())
-    else:
-        payload = [value for value, in cells] if isinstance(result, list) else cells[0][0]
-        if fmt == "text":  # one value per line
-            return "".join(value + "\n" for value, in cells)
+            return "".join(f"{key}={cell}\n" for key, cell in zip(columns, cells[0]))
+        return _json_text(dict(zip(columns, cells[0])))
+    if fmt == "text":  # aligned columns under a header
+        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                       for row in [columns] + cells)
+    return _json_text({"name": result.name, "columns": columns, "rows": cells})
+
+
+def _json_text(payload) -> str:
     try:
         return json.dumps(payload, sort_keys=True) + "\n"
     except ValueError:  # the only one json.dumps raises here: an int past the digit limit

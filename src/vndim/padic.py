@@ -161,10 +161,11 @@ def quadratic_extension_count(p: int) -> int:
 # -- affine Weyl group ---------------------------------------------------------
 
 _LETTERS = ("w", "w'")
+_PRIMED = _LETTERS[1:]  # the opening of a word that starts with w'
 
 #: Word-list guard: weyl_enumerate holds every reduced word up to length L,
 #: about L^2 letters, so a longer bound is refused.  At the bound, `python -m
-#: vndim.cli padic weyl --max-length 2000` takes about 0.25 s (2-core Xeon).
+#: vndim.cli padic weyl --max-length 2000` takes about 0.2 s (2-core Xeon).
 WEYL_LENGTH_GUARD = 2000
 
 #: w w' w w' ..., and the texts ww'ww'... and w'ww'w...: a listed word and its text are slices.
@@ -186,7 +187,7 @@ class ReducedWeylWord(_Sealed, namedtuple("ReducedWeylWord", "letters")):
         # Checked here, for pickle too.  A reduced word alternates from its first letter:
         # up to the guard's length one C tuple compare accepts it; others are scanned.
         letters = tuple(letters)
-        first = letters[:1] == _LETTERS[1:]  # 1 when the word opens with w'
+        first = letters[:1] == _PRIMED  # 1 when the word opens with w'
         if letters != _ALTERNATING[first:first + len(letters)]:
             for letter in letters:
                 if letter not in _LETTERS:
@@ -196,14 +197,15 @@ class ReducedWeylWord(_Sealed, namedtuple("ReducedWeylWord", "letters")):
                     raise ValueError(f"word {letters} is not reduced")
         return tuple.__new__(cls, (letters,))
 
-    __init__ = lambda self, *args, **kwargs: None  # perfbench/spans.py times the class here
+    def __init__(self, letters=()):
+        pass  # empty: perfbench/spans.py times the class here
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        n, first = len(self.letters), self.letters[:1] == _LETTERS[1:]
+        n, first = len(self.letters), self.letters[:1] == _PRIMED
         if n > WEYL_LENGTH_GUARD:  # a word longer than _TEXTS holds, built directly
             return "".join(self.letters)
         return _TEXTS[first][:3 * (n // 2) + (1 + first) * (n % 2)] or "1"  # pairs, w or w'

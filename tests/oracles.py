@@ -34,6 +34,17 @@ def sieve_primes(limit: int) -> tuple:
     return tuple(primes)
 
 
+def graded_ring_dim(weights: tuple, k: int) -> int:
+    """dim M_k of a ring of modular forms freely generated in the given weights: the
+    number of monomials of weight k in the generators, the coefficient of t^k in
+    prod 1/(1 - t^w), built one generator at a time."""
+    counts = [1] + [0] * k
+    for w in weights:
+        for n in range(w, k + 1):
+            counts[n] += counts[n - w]
+    return counts[k]
+
+
 def factors_through_norm(q: int, a: int) -> bool:
     """Whether the index-a character of F_{q^2}^x factors through the norm to F_q^x.
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import re
@@ -20,7 +21,7 @@ from vndim import cli
 from vndim.cli import COMMON, OPERATIONS, main
 from vndim.exact import PiRational, int_text, parse_pi_rational
 from vndim.fuchsian import _CONGRUENCE_CATALOG
-from vndim.padic import JLTag, weyl_enumerate
+from vndim.padic import WEYL_LENGTH_GUARD, JLTag, weyl_enumerate
 from vndim.tables import Table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +74,8 @@ GOLDEN_COMMANDS = [
     ("fgindex_2_5.txt", ["factor", "fgindex", "--ambient-rank", "2", "--sub-rank", "5"]),
     ("coupling_2_3.txt", ["factor", "coupling", "--n", "2", "--k", "3"]),
     ("jones_2x3.txt", ["factor", "jones", "--sub", "3/2", "--ambient", "1/6"]),
-]
+] + [(f"weyl_57_{fmt}.txt", ["padic", "weyl", "--max-length", "57", "--format", fmt])
+     for fmt in ("text", "json", "csv")]
 
 
 @pytest.mark.parametrize("filename,argv", GOLDEN_COMMANDS, ids=[f for f, _ in GOLDEN_COMMANDS])
@@ -744,6 +746,25 @@ def test_long_weyl_sum_answers_exactly_and_fast(capsys):
 def test_weyl_word_list_past_the_guard_exits_two(capsys, length):
     assert run_cli(capsys, "padic", "weyl", "--max-length", length) == (
         2, "", f"error: TooLarge: word length bound {length} exceeds Weyl-word guard 2000\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_printing_the_longest_word_list_starts_at_most_one_collection(fmt):
+    # A word list prints as one flat column of texts; a row container per word would
+    # pass the generation-0 threshold about once per 700 words.
+    words, starts = weyl_enumerate(WEYL_LENGTH_GUARD), []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        cli.render_result(words, fmt, False)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 1, starts
 
 
 # -- csv quoting, against the stdlib csv writer ------------------------------------------

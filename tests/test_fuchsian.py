@@ -30,7 +30,7 @@ from vndim.fuchsian import (
     two_lattice_vn_dimension,
     vn_dimension,
 )
-from oracles import coset_signature, sieve_primes
+from oracles import coset_signature, graded_ring_dim, sieve_primes
 
 MODULAR = FuchsianSignature(0, (2, 3), 1)
 FREE2 = FuchsianSignature(0, (), 3)
@@ -177,6 +177,20 @@ def test_cusp_dim_nondecreasing_from_weight_four():
     cocompact = FuchsianSignature(3, (), 0)
     dims = [cusp_form_dim(cocompact, k) for k in range(4, 40, 2)]
     assert all(a <= b for a, b in zip(dims, dims[1:]))
+
+
+#: Signatures whose even-weight modular forms are a polynomial ring, with the weights
+#: of its generators: SL(2,Z) (E4 and E6; Serre, A Course in Arithmetic, VII 3.2),
+#: Gamma0(2) (weights 2 and 4) and Gamma0(4) (two of weight 2; Koblitz, IV 4).
+GRADED_RINGS = [("0;2,3;1", (4, 6)), ("0;2;2", (2, 4)), ("0;-;3", (2, 2))]
+
+
+@pytest.mark.parametrize("text, weights", GRADED_RINGS, ids=[t for t, _ in GRADED_RINGS])
+def test_cusp_dim_is_the_graded_ring_count_less_the_cusps(text, weights):
+    # For k >= 4 the Eisenstein series span one dimension per cusp: dim S_k = dim M_k - h.
+    sig = parse_signature(text)
+    for k in range(4, 201, 2):
+        assert cusp_form_dim(sig, k) == graded_ring_dim(weights, k) - sig.cusps, k
 
 
 # -- multiplicities ---------------------------------------------------------------

@@ -9,6 +9,7 @@ included, is built only through its constructor's checks.
 
 import copy
 import copyreg
+import inspect
 import os
 import pickle
 import subprocess
@@ -241,6 +242,19 @@ def test_make_normalises_as_the_constructor_does():
     assert FuchsianSignature._make([0, [2, 3], 1]) == parse_signature("0;2,3;1")
     assert parse_signature("0;-;3")._replace(elliptic_orders=[2]).elliptic_orders == (2,)
 
+
+@pytest.mark.parametrize("cls", [FuchsianSignature, ReducedWeylWord])
+def test_init_takes_the_parameters_of_new(cls):
+    # The empty __init__ that the benchmark times binds what __new__ binds, no *args.
+    init, new = inspect.signature(cls.__init__), inspect.signature(cls.__new__)
+    assert list(init.parameters.values())[1:] == list(new.parameters.values())[1:]
+
+
+def test_keyword_construction():
+    assert FuchsianSignature(genus=0, elliptic_orders=[2, 3], cusps=1) == parse_signature("0;2,3;1")
+    assert FuchsianSignature(2) == FuchsianSignature(genus=2, elliptic_orders=(), cusps=0)
+    assert ReducedWeylWord(letters=["w", "w'"]) == ReducedWeylWord(("w", "w'"))
+    assert ReducedWeylWord(letters=()) == ReducedWeylWord()
 
 @pytest.mark.parametrize("slot", PiRational.__slots__)
 def test_pi_rational_refuses_deletion(slot):
