@@ -27,10 +27,12 @@ doubled; a row of one empty cell prints as "".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
 import re
+import shutil
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -340,21 +342,28 @@ OPERATIONS = (
 # -- parser construction and dispatch ----------------------------------------------
 
 
+#: Each registry entry by its (group, verb) words; a group's verb is None.
+_NODES = {(op.group, op.verb): op for op in OPERATIONS}
+
+
 def build_parser(*words: str) -> tuple[argparse.ArgumentParser, int]:
     """The parser the whole tree holds for the deepest node that the opening ``words`` name,
     and how many words it consumes: 2 for a verb, 1 for ``table`` or a group, 0 for the root."""
-    nodes = {(op.group, op.verb): op for op in OPERATIONS}
-    node = nodes.get(words[:2]) or nodes.get(words[:1] + (None,))
+    node = _NODES.get(words[:2]) or _NODES.get(words[:1] + (None,))
     depth = 0 if node is None else 2 if node.verb else 1
+    # A stock HelpFormatter looks the terminal up itself, and argparse makes one per flag.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(prog=" ".join(("vndim",) + words[:depth]), description=(
         None if node else "Exact covolumes, cusp-form dimensions, formal dimensions, and "
-        "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F)."))
+        "von Neumann dimensions for lattices in PSL(2,R) and PGL(2,F)."), formatter_class=formatter)
     _fill(parser, node)
     return parser, depth
 
 
 def _fill(parser: argparse.ArgumentParser, node: Op | None) -> None:
-    """Give ``parser`` the flags of operation ``node``, or its children as subcommands."""
+    """Give ``parser`` the flags of operation ``node``, or its children as subcommands
+    that format their help as it does."""
     if node and node.fn:
         parser.set_defaults(op=node)
         for param in COMMON + node.params:
@@ -363,7 +372,8 @@ def _fill(parser: argparse.ArgumentParser, node: Op | None) -> None:
     children = parser.add_subparsers(required=True, metavar="VERB" if node else "GROUP")
     for op in OPERATIONS:  # a group's verbs, or the root's groups
         if (op.group == node.group and op.verb) if node else op.verb is None:
-            _fill(children.add_parser(op.verb or op.group, help=op.help), op)
+            _fill(children.add_parser(op.verb or op.group, help=op.help,
+                                      formatter_class=parser.formatter_class), op)
 
 
 def _refuse(message: str):

@@ -43,9 +43,21 @@ PRIME_BITS_GUARD = 3200
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: The least strong pseudoprime to all 13 bases in _SMALL_PRIMES (Sorenson and
-#: Webster 2015): below it, Miller-Rabin with those bases is exact.
-_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+#: (bound, k): the least strong pseudoprime to the first k primes as bases, at
+#: each k where it grows (OEIS A014233; Jaeschke 1993, Sorenson and Webster
+#: 2017).  Below the bound, Miller-Rabin with those k bases is exact.
+_MILLER_RABIN_BOUNDS = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def _strong_probable_prime(n: int, bases) -> bool:
@@ -126,10 +138,13 @@ def is_prime(n: int) -> bool:
 
     Trial division by the primes up to 41 settles those primes and every n
     below 41^2.  Below 3 317 044 064 679 887 385 961 981, strong Miller-Rabin
-    tests to the same 13 bases are proven exact (Sorenson and Webster 2015).
-    Above it, the Baillie-PSW test (Pomerance, Selfridge and Wagstaff 1980)
-    decides: a strong test to base 2 and a strong Lucas test.  No composite is
-    known to pass Baillie-PSW, but none has been proven not to exist.
+    tests to the first k of the same 13 primes are proven exact, with k from
+    _MILLER_RABIN_BOUNDS: 1 base below 2047, 5 below 2 152 302 898 747, 7 below
+    341 550 071 728 321, and all 13 only past 318 665 857 834 031 151 167 461
+    (Jaeschke 1993, Sorenson and Webster 2017).  Above that, the Baillie-PSW
+    test (Pomerance, Selfridge and Wagstaff 1980) decides: a strong test to
+    base 2 and a strong Lucas test.  No composite is known to pass Baillie-PSW,
+    but none has been proven not to exist.
     """
     if type(n) is not int or n <= 41:
         return type(n) is int and n in _SMALL_PRIMES  # 3.0, True and "3" are not prime
@@ -138,8 +153,9 @@ def is_prime(n: int) -> bool:
             return False
     if n < 41 * 41:
         return True
-    if n < _MILLER_RABIN_BOUND:
-        return _strong_probable_prime(n, _SMALL_PRIMES)
+    for bound, k in _MILLER_RABIN_BOUNDS:
+        if n < bound:
+            return _strong_probable_prime(n, _SMALL_PRIMES[:k])
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import re
+import shutil
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -564,6 +565,41 @@ def test_group_parser_holds_only_its_own_verbs():
         assert [action.dest for action in groups["table"]._actions][-1] == "name"
         assert _subcommands(cli.build_parser(*words, "vndim")[0]).keys() == groups.keys()
 
+
+
+def _texts(parser):
+    """The help and usage texts of ``parser`` and of every parser below it."""
+    return [parser.format_help(), parser.format_usage()] + [
+        text for child in _subcommands(parser).values() for text in _texts(child)]
+
+
+def _stock(parser):
+    """``parser`` with the stock HelpFormatter, which looks the terminal up itself,
+    at every level."""
+    parser.formatter_class = argparse.HelpFormatter
+    for child in _subcommands(parser).values():
+        _stock(child)
+    return parser
+
+
+@pytest.mark.parametrize("columns", [None, "20", "80", "200"], ids=lambda c: f"COLUMNS={c}")
+@pytest.mark.parametrize("node", NODES, ids=lambda node: " ".join(["vndim"] + node))
+def test_help_and_usage_match_the_stock_formatter(monkeypatch, node, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert _texts(cli.build_parser(*node)[0]) == _texts(_stock(cli.build_parser(*node)[0]))
+
+
+def test_each_parser_looks_the_terminal_up_once(monkeypatch):
+    lookups, lookup = [], shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: lookups.append(args) or lookup(*args))
+    for node in NODES:
+        lookups.clear()
+        _texts(cli.build_parser(*node)[0])
+        assert len(lookups) == 1, node
 
 def test_main_reads_sys_argv_and_builds_its_first_two_words(capsys, monkeypatch):
     built, build = [], cli.build_parser

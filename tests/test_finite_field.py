@@ -1,4 +1,5 @@
 import functools
+import math
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -25,7 +26,7 @@ from vndim.finite_field import (
     norm_trace_facts,
     restricts_to,
 )
-from vndim.finite_field import _frobenius, _hilbert90_quotients
+from vndim.finite_field import _MILLER_RABIN_BOUNDS, _SMALL_PRIMES, _frobenius, _hilbert90_quotients
 from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
 from vndim.tables import build_table
 
@@ -236,17 +237,47 @@ def test_prime_power_parsing_matches_a_sieve():
 
 MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
 
-#: Composites that fool weaker tests: Carmichael numbers, then strong
-#: pseudoprimes to the prime bases up to 7, up to 31 and up to 37, and last
-#: one to every prime base up to 41, which only the Lucas half of Baillie-PSW
-#: rejects.
+#: Composites that fool weaker tests: Carmichael numbers, then the least strong
+#: pseudoprimes to the first 1, 2, 3, 4, 5, 6, 8, 11 and 12 primes as bases
+#: (OEIS A014233), and last the least one to every prime base up to 41, which
+#: only the Lucas half of Baillie-PSW rejects.
 HARD_COMPOSITES = (
     561, 41041, 825265,
+    2047,
+    1373653,
+    25326001,
     3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
     3825123056546413051,
     318665857834031151167461,
     3317044064679887385961981,
 )
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_strong_probable_prime(n, b):
+    """With n - 1 = d 2^s and d odd: b^d = 1 or b^(d 2^r) = -1 for some r < s (mod n)."""
+    s = 0
+    while (n - 1) % 2 ** (s + 1) == 0:
+        s += 1
+    d = (n - 1) // 2**s
+    x = pow(b, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def leading_bases(n):
+    """How many of the first primes, in order, n is a strong probable prime to."""
+    return next((k for k, b in enumerate(SMALL_PRIMES) if not is_strong_probable_prime(n, b)),
+                len(SMALL_PRIMES))
 
 
 def test_is_prime_hard_cases():
@@ -254,21 +285,73 @@ def test_is_prime_hard_cases():
         assert is_prime(n), n
     for n in HARD_COMPOSITES:
         assert not is_prime(n), n
-    # each pseudoprime really is one: n - 1 = d 2^s, and to every base b of its
-    # row b^d = 1 or b^(d 2^r) = -1 for some r < s
+    # each pseudoprime really is one, to the first primes of its row and not the next
     pseudoprime_bases = {
+        2047: (2,),
+        1373653: (2, 3),
+        25326001: (2, 3, 5),
         3215031751: (2, 3, 5, 7),
+        2152302898747: (2, 3, 5, 7, 11),
+        3474749660383: (2, 3, 5, 7, 11, 13),
+        341550071728321: (2, 3, 5, 7, 11, 13, 17, 19),
         3825123056546413051: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
         318665857834031151167461: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37),
         3317044064679887385961981: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41),
     }
     for n, bases in pseudoprime_bases.items():
-        s = 0
-        while (n - 1) % 2 ** (s + 1) == 0:
-            s += 1
-        d = (n - 1) // 2**s
-        for b in bases:
-            assert pow(b, d, n) == 1 or any(pow(b, d * 2**r, n) == n - 1 for r in range(s)), (n, b)
+        assert SMALL_PRIMES[:len(bases)] == bases
+        assert leading_bases(n) == len(bases), n
+
+
+#: A factorization of each Miller-Rabin bound.
+BOUND_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def test_miller_rabin_bounds_are_the_least_pseudoprimes_to_their_bases():
+    # Below the bound of row (bound, k), k bases decide; the bound itself is
+    # composite and fools exactly the bases up to the next row's k.
+    assert _SMALL_PRIMES == SMALL_PRIMES
+    assert [bound for bound, _ in _MILLER_RABIN_BOUNDS] == sorted(BOUND_FACTORS)
+    ks = [k for _, k in _MILLER_RABIN_BOUNDS]
+    assert ks == sorted(ks) and ks[-1] == len(SMALL_PRIMES)
+    for (bound, k), next_k in zip(_MILLER_RABIN_BOUNDS, ks[1:] + [len(SMALL_PRIMES) + 1]):
+        factors = BOUND_FACTORS[bound]
+        assert math.prod(factors) == bound and len(factors) > 1 and min(factors) > 1, bound
+        assert bound in HARD_COMPOSITES and not is_prime(bound), bound
+        assert leading_bases(bound) == next_k - 1 >= k, bound
+
+
+def test_each_miller_rabin_row_needs_all_its_bases():
+    # In the range of each row lies a composite with no prime factor up to 41
+    # that fools all of the row's bases but its last: 43^2 fools no base at
+    # all, 53 * 157 fools base 2, and after that the bound of the row before.
+    witnesses = [43 * 43, 53 * 157] + [bound for bound, _ in _MILLER_RABIN_BOUNDS[1:-1]]
+    low = 41 * 41
+    for (bound, k), n in zip(_MILLER_RABIN_BOUNDS, witnesses):
+        assert low <= n < bound, n
+        assert all(n % p for p in SMALL_PRIMES) and leading_bases(n) >= k - 1, n
+        assert not is_prime(n), n
+        low = bound
+
+
+def test_is_prime_matches_all_13_bases_around_each_bound():
+    # all 13 bases are exact below the last bound, so they are the reference there
+    last = _MILLER_RABIN_BOUNDS[-1][0]
+    for bound, _ in _MILLER_RABIN_BOUNDS:
+        for n in range(bound - 1999, min(bound + 2000, last), 2):
+            expected = all(n % p for p in SMALL_PRIMES) and leading_bases(n) == len(SMALL_PRIMES)
+            assert is_prime(n) == expected, n
 
 
 def test_strong_lucas_test_matches_a_sieve():
