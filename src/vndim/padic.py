@@ -163,9 +163,10 @@ def quadratic_extension_count(p: int) -> int:
 _LETTERS = ("w", "w'")
 _PRIMED = _LETTERS[1:]  # the opening of a word that starts with w'
 
-#: Word-list guard: weyl_enumerate holds every reduced word up to length L,
-#: about L^2 letters, so a longer bound is refused.  At the bound, `python -m
-#: vndim.cli padic weyl --max-length 2000` takes about 0.2 s (2-core Xeon).
+#: Word-list guard: the longest bound weyl_words and weyl_enumerate take.  The
+#: list that weyl_enumerate returns holds about L^2 letters; `python -m vndim.cli
+#: padic weyl --max-length 2000` holds one word at a time and prints about 6 MB
+#: of text in about 0.16 s (2-core Xeon).
 WEYL_LENGTH_GUARD = 2000
 
 #: w w' w w' ..., and the texts ww'ww'... and w'ww'w...: a listed word and its text are slices.
@@ -216,22 +217,34 @@ def _check_length(max_length: int) -> None:
         raise NegativeLength(f"word length bound must be >= 0, got {max_length}")
 
 
-def weyl_enumerate(max_length: int) -> list:
-    """All reduced words of length <= max_length: the identity, then two per length;
-    TooLarge past WEYL_LENGTH_GUARD."""
+def weyl_words(max_length: int):
+    """Iterator over the reduced words of length <= max_length, in weyl_enumerate's
+    order, each built when it is reached; refused at the call as weyl_enumerate refuses."""
     _check_length(max_length)
     if max_length > WEYL_LENGTH_GUARD:
         raise TooLarge(
             f"word length bound {max_length} exceeds Weyl-word guard {WEYL_LENGTH_GUARD}"
         )
-    return [ReducedWeylWord(())] + [ReducedWeylWord(_ALTERNATING[first:first + k])
-                                    for k in range(1, max_length + 1) for first in (0, 1)]
+    return _words(max_length)
+
+
+def _words(max_length: int):
+    yield ReducedWeylWord(())
+    for k in range(1, max_length + 1):
+        yield ReducedWeylWord(_ALTERNATING[:k])
+        yield ReducedWeylWord(_ALTERNATING[1:k + 1])
+
+
+def weyl_enumerate(max_length: int) -> list:
+    """All reduced words of length <= max_length: the identity, then two per length;
+    TooLarge past WEYL_LENGTH_GUARD."""
+    return list(weyl_words(max_length))
 
 
 def weyl_length_histogram(max_length: int) -> dict:
-    """Length -> count over weyl_enumerate(max_length)."""
+    """Length -> count over weyl_words(max_length), which holds one word at a time."""
     hist: dict = {}
-    for word in weyl_enumerate(max_length):
+    for word in weyl_words(max_length):
         hist[word.length] = hist.get(word.length, 0) + 1
     return hist
 

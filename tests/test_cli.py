@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -801,6 +802,47 @@ def test_printing_the_longest_word_list_starts_at_most_one_collection(fmt):
     finally:
         gc.callbacks.remove(count)
     assert len(starts) <= 1, starts
+
+
+class _Stdout:
+    """A stdout that keeps what is written to it without copying it."""
+
+    def write(self, text):
+        self.text = text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_the_longest_cli_word_list_holds_no_word_list(fmt):
+    # Each word is built, turned into its text and freed before the next: a list of
+    # words would hold about L^2 letter slots, several times the printed text.
+    starts, stdout = [], _Stdout()
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(stdout):
+            code = main(["padic", "weyl", "--max-length", str(WEYL_LENGTH_GUARD), "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert len(starts) <= 1, starts
+    assert peak / len(stdout.text) < 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("max_length", [0, 1, 57, 175, WEYL_LENGTH_GUARD])
+def test_cli_word_list_prints_as_the_enumerated_words_render(capsys, max_length, fmt):
+    code, out, err = run_cli(capsys, "padic", "weyl", "--max-length", str(max_length),
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == cli.render_result(weyl_enumerate(max_length), fmt, False)
 
 
 # -- csv quoting, against the stdlib csv writer ------------------------------------------

@@ -14,6 +14,7 @@ from vndim.errors import (
     BadRamification,
     EvenResidue,
     LevelOutOfRange,
+    NegativeLength,
     NoSuchLattice,
     NotPrime,
     OddRamifiedConductor,
@@ -45,6 +46,7 @@ from vndim.padic import (
     weyl_enumerate,
     weyl_length_histogram,
     weyl_partial_sum,
+    weyl_words,
 )
 from vndim.padic import _abs_from_valuation
 
@@ -349,6 +351,35 @@ def test_weyl_enumeration_refuses_past_the_guard():
     assert str(words[-1]) == "w'w" * (WEYL_LENGTH_GUARD // 2)
     # the partial sum holds no words, so it has no such bound
     assert weyl_partial_sum(3, WEYL_LENGTH_GUARD + 1) == 4 - Fraction(2, 3**2001)
+
+
+@pytest.mark.parametrize("max_length", [0, 1, 2, 3, 57, WEYL_LENGTH_GUARD])
+def test_weyl_words_yields_the_enumerated_words_in_order(max_length):
+    words = weyl_words(max_length)
+    assert iter(words) is words  # an iterator, not a list
+    assert list(words) == weyl_enumerate(max_length)
+
+
+@pytest.mark.parametrize("max_length, error, message", [
+    (-1, NegativeLength, "word length bound must be >= 0, got -1"),
+    (WEYL_LENGTH_GUARD + 1, TooLarge, "word length bound 2001 exceeds Weyl-word guard 2000"),
+])
+def test_weyl_words_refuses_at_the_call_before_any_word(max_length, error, message):
+    with pytest.raises(error) as raised:
+        weyl_words(max_length)  # never iterated
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("max_length", [0, 1, 57, WEYL_LENGTH_GUARD])
+def test_weyl_words_builds_each_word_through_its_checked_constructor(monkeypatch, max_length):
+    built, new = [], ReducedWeylWord.__new__  # the checks run here
+    monkeypatch.setattr(ReducedWeylWord, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    words = weyl_words(max_length)
+    assert built == []  # each word is built when it is reached
+    next(words)
+    assert len(built) == 1
+    assert 1 + sum(1 for _ in words) == len(built) == 2 * max_length + 1
 
 
 def test_weyl_tail_is_exact_geometric():
