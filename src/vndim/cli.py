@@ -141,7 +141,7 @@ def render_result(result, fmt: str, ascii_pi: bool) -> str:
             return _json_text(column if words else column[0])
         if fmt == "csv":
             column = ["value"] + [_csv_cell(cell) or '""' for cell in column]
-        return "".join(cell + "\n" for cell in column)
+        return "\n".join(column + [""])  # one join: no second copy of each cell
     if isinstance(result, Table):
         columns, rows = list(result.columns), result.rows
     else:

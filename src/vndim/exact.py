@@ -110,8 +110,8 @@ class PiRational:
             return self.pi_exp == 0 and self.coeff == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.coeff, self.pi_exp))
+    def __hash__(self):  # with no pi factor, as the int or Fraction it equals
+        return hash((self.coeff, self.pi_exp) if self.pi_exp else self.coeff)
 
     def __lt__(self, other: "PiRational") -> bool:
         return self.compare(other) < 0

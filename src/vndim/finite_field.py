@@ -35,9 +35,10 @@ from .errors import EvenResidue, NotPrimePower, TooLarge
 #: and so is an enumeration of more q^2 elements of F_{q^2}, pairs or indices.
 FIELD_GUARD = 10**4
 
-#: Primality guard: PrimePower(p, f) and from_int, and the p-adic checks of p,
-#: refuse a number of more bits than this that they would test for primality; a
-#: prime at the bound takes about 0.4 s to test.  is_prime itself takes any n.
+#: Primality guard: _check_prime, the one check of p that PrimePower(p, f) and the
+#: p-adic functions share, and from_int refuse a number of more bits than this
+#: that they would test for primality; a prime at the bound takes about 0.4 s to
+#: test.  is_prime itself takes any n.
 PRIME_BITS_GUARD = 3200
 
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
@@ -166,6 +167,21 @@ def _check_prime_bits(n: int, what: str) -> None:
                        f"{PRIME_BITS_GUARD} bits")
 
 
+def _check_prime(p: int, error, refusal: str = "{} is not prime") -> None:
+    """TooLarge past PRIME_BITS_GUARD bits, then error(refusal) unless p is a prime int."""
+    _check_prime_bits(p, "p")
+    if not is_prime(p):
+        raise error(refusal.format(p))
+
+
+def _check_int(value, low: int, error, what: str) -> None:
+    """error unless value is an int (not a bool) >= low."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 1: math.isqrt for k = 2, Newton's method above.
 
@@ -199,15 +215,10 @@ class PrimePower(_Sealed, namedtuple("PrimePower", "p f")):
     __slots__ = ()
 
     def __new__(cls, p: int, f: int):  # checks, for a pickle that calls it alone
-        _check_prime_bits(p, "p")
-        if not is_prime(p):
-            raise NotPrimePower(f"{p} is not prime")
+        _check_prime(p, NotPrimePower)
         if p == 2:
             raise EvenResidue("residue-field order must be odd")
-        if type(f) is not int:
-            raise NotPrimePower(f"exponent must be an integer, got {f!r}")
-        if f < 1:
-            raise NotPrimePower(f"exponent must be >= 1, got {f}")
+        _check_int(f, 1, NotPrimePower, "exponent")
         return tuple.__new__(cls, (p, f))
 
     @property
@@ -415,12 +426,8 @@ def _is_regular(n: int, a: int) -> bool:
     return (n * a) % (n * n - 1) != a % (n * n - 1)
 
 
-def restricts_to(q, a: int, nu: int) -> bool:
-    """Whether the index-a character restricts to the index-nu character of F_q^x."""
-    return _restricts_to(as_prime_power(q).q, a, nu)
-
-
 def _restricts_to(n: int, a: int, nu: int) -> bool:
+    """Whether the index-a character of F_{n^2}^x restricts to the index-nu one of F_n^x."""
     return a % (n - 1) == nu % (n - 1)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     UnknownGroup,
 )
 from .exact import PiRational
-from .finite_field import _Sealed
+from .finite_field import _Sealed, _check_int
 
 
 class GroupMode(enum.Enum):
@@ -59,10 +59,8 @@ class FuchsianSignature(_Sealed, namedtuple("FuchsianSignature", "genus elliptic
         self = tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
         if type(genus) is not int or type(cusps) is not int:
             raise InvalidSignature(f"genus and cusp count must be ints, got {genus!r}, {cusps!r}")
-        if genus < 0:
-            raise InvalidSignature(f"genus must be >= 0, got {genus}")
-        if cusps < 0:
-            raise InvalidSignature(f"cusp count must be >= 0, got {cusps}")
+        _check_int(genus, 0, InvalidSignature, "genus")
+        _check_int(cusps, 0, InvalidSignature, "cusp count")
         for m in self.elliptic_orders:
             if not isinstance(m, int) or m < 2:
                 raise InvalidSignature(f"elliptic order must be an integer >= 2, got {m}")
@@ -151,8 +149,7 @@ def cusp_form_dim(sig: FuchsianSignature, weight: int) -> int:
 
 
 def _check_parameter(m: int, mode: GroupMode) -> None:
-    if m < 1:
-        raise NonPositiveWeight(f"discrete-series parameter must be >= 1, got {m}")
+    _check_int(m, 1, NonPositiveWeight, "discrete-series parameter")
     if mode is GroupMode.PSL2R and m % 2 == 0:
         raise ParityViolation(
             f"parameter {m} is even; only odd parameters act through PSL(2,R)"

@@ -24,8 +24,8 @@ odd order q.  Everything computable here reduces to exact rational arithmetic:
   formal degree 1 (that is, vol(K.Z/Z) = (q-1)/2), up to RESULT_DIGIT_GUARD
   digits.
 
-A p that must be prime is refused with TooLarge past finite_field.PRIME_BITS_GUARD
-bits, before it is tested.
+A p that must be prime goes through finite_field._check_prime, the one check of p
+that PrimePower shares: TooLarge past PRIME_BITS_GUARD bits, before it is tested.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     OddRamifiedConductor,
     TooLarge,
 )
-from .finite_field import _Sealed, _check_prime_bits, as_prime_power, is_prime
+from .finite_field import _Sealed, _check_int, _check_prime, as_prime_power
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
 INFINITE_VALUATION = math.inf
@@ -67,15 +67,9 @@ def _check_digits(base: int, exponent: int) -> None:
                        f"result-digit guard {RESULT_DIGIT_GUARD}")
 
 
-def _check_prime(p: int, refusal: str = "{} is not prime") -> None:
-    _check_prime_bits(p, "p")
-    if not is_prime(p):
-        raise NotPrime(refusal.format(p))
-
-
 def padic_valuation(r: Fraction, p: int):
     """Exponent v with r = p^v * (a/b), p dividing neither a nor b; v(0) = +inf."""
-    _check_prime(p)
+    _check_prime(p, NotPrime)
     return _valuation(r, p)
 
 
@@ -98,7 +92,7 @@ def _valuation(r: Fraction, p: int):
 
 def padic_abs(r: Fraction, p: int) -> Fraction:
     """|r|_p = p^(-v(r)) as an exact rational, with |0|_p = 0."""
-    _check_prime(p)
+    _check_prime(p, NotPrime)
     return _abs_from_valuation(_valuation(r, p), p)
 
 
@@ -124,7 +118,7 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     added as they are; anything else is converted by Fraction() first, so that
     a str is parsed, not concatenated, and a float is added without rounding.
     """
-    _check_prime(p)
+    _check_prime(p, NotPrime)
     if isinstance(r, (int, Fraction)) and isinstance(s, (int, Fraction)):
         total = r + s
     else:
@@ -147,14 +141,13 @@ def extension_level_arithmetic(n: int, e: int) -> LevelArithmetic:
     """
     if e not in (1, 2):
         raise BadRamification(f"ramification index of a quadratic extension is 1 or 2, got {e}")
-    if n < 1:
-        raise LevelOutOfRange(f"level must be >= 1, got {n}")
+    _check_int(n, 1, LevelOutOfRange, "level")
     return LevelArithmetic(composed_level=e * n, trace_ideal_exponent=1 + n // e)
 
 
 def quadratic_extension_count(p: int) -> int:
     """Number of quadratic extensions of Q_p: 3 for odd p, 7 for p = 2."""
-    _check_prime(p)
+    _check_prime(p, NotPrime)
     return 7 if p == 2 else 3
 
 
@@ -212,15 +205,10 @@ class ReducedWeylWord(_Sealed, namedtuple("ReducedWeylWord", "letters")):
         return _TEXTS[first][:3 * (n // 2) + (1 + first) * (n % 2)] or "1"  # pairs, w or w'
 
 
-def _check_length(max_length: int) -> None:
-    if max_length < 0:
-        raise NegativeLength(f"word length bound must be >= 0, got {max_length}")
-
-
 def weyl_words(max_length: int):
     """Iterator over the reduced words of length <= max_length, in weyl_enumerate's
     order, each built when it is reached; refused at the call as weyl_enumerate refuses."""
-    _check_length(max_length)
+    _check_int(max_length, 0, NegativeLength, "word length bound")
     if max_length > WEYL_LENGTH_GUARD:
         raise TooLarge(
             f"word length bound {max_length} exceeds Weyl-word guard {WEYL_LENGTH_GUARD}"
@@ -259,7 +247,7 @@ def weyl_partial_sum(q, max_length: int) -> Fraction:
     TooLarge when q^L has more than RESULT_DIGIT_GUARD digits.
     """
     n = as_prime_power(q).q
-    _check_length(max_length)
+    _check_int(max_length, 0, NegativeLength, "word length bound")
     _check_digits(n, max_length)
     s = 0
     for _ in range(max_length):
@@ -334,8 +322,7 @@ PadicLattice = namedtuple("PadicLattice", "q rank h")
 def ihara_lattice(q, n: int) -> PadicLattice:
     """The rank-n free lattice, which exists iff h = 2(n-1)/(q-1) is an integer."""
     pp = as_prime_power(q)
-    if n < 2:
-        raise NoSuchLattice(f"free rank must be >= 2, got {n}")
+    _check_int(n, 2, NoSuchLattice, "free rank")
     h, rem = divmod(2 * (n - 1), pp.q - 1)
     if rem != 0:
         raise NoSuchLattice(
@@ -400,12 +387,12 @@ class JLClass(_Sealed, namedtuple("JLClass", "tag conductor", defaults=(0,))):
         if tag is JLTag.GENERALIZED_SPECIAL:
             if conductor:
                 raise ValueError("generalized special classes carry no conductor")
-        elif conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {conductor}")
-        elif tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
-            raise OddRamifiedConductor(
-                f"ramified cuspidal classes need an even conductor, got {conductor}"
-            )
+        else:
+            _check_int(conductor, 1, ValueError, "conductor")
+            if tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
+                raise OddRamifiedConductor(
+                    f"ramified cuspidal classes need an even conductor, got {conductor}"
+                )
         return tuple.__new__(cls, (tag, conductor))
 
     def __str__(self) -> str:
@@ -449,7 +436,7 @@ def jl_formal_dim(p: int, cls: JLClass) -> int:
 
 
 def _check_jl_prime(p: int) -> None:
-    _check_prime(p, "the formal-dimension table needs a prime p, got {}")
+    _check_prime(p, NotPrime, "the formal-dimension table needs a prime p, got {}")
     if p == 2:
         raise EvenResidue("the formal-dimension table assumes odd residue order")
 

@@ -814,7 +814,8 @@ class _Stdout:
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_the_longest_cli_word_list_holds_no_word_list(fmt):
     # Each word is built, turned into its text and freed before the next: a list of
-    # words would hold about L^2 letter slots, several times the printed text.
+    # words would hold about L^2 letter slots, several times the printed text.  A text
+    # or csv column is joined once, with no second copy of its cells.
     starts, stdout = [], _Stdout()
 
     def count(phase, info):
@@ -833,7 +834,7 @@ def test_the_longest_cli_word_list_holds_no_word_list(fmt):
         gc.callbacks.remove(count)
     assert code == 0
     assert len(starts) <= 1, starts
-    assert peak / len(stdout.text) < 4
+    assert peak / len(stdout.text) < (4 if fmt == "json" else 2.5)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -163,6 +163,15 @@ def test_equality_with_plain_numbers():
     assert not PiRational(1) == "1"
 
 
+@pytest.mark.parametrize("number", [2, Fraction(1, 2)])
+def test_a_rational_hashes_as_the_number_it_equals(number):
+    value = PiRational(number)
+    assert value == number and hash(value) == hash(number)
+    assert value in {number} and number in {value}
+    assert len({value, number}) == 1
+    assert {PiRational(number, 1), number} != {number}  # a pi factor is never a plain number
+
+
 def test_as_rational_refuses_a_pi_factor():
     assert PiRational(Fraction(5, 2)).as_rational() == Fraction(5, 2)
     with pytest.raises(IncomparableExponents, match="^value has a pi factor; it is not rational$"):

@@ -24,7 +24,6 @@ from vndim.finite_field import (
     is_prime,
     is_regular,
     norm_trace_facts,
-    restricts_to,
 )
 from vndim.finite_field import _MILLER_RABIN_BOUNDS, _SMALL_PRIMES, _frobenius, _hilbert90_quotients
 from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
@@ -107,8 +106,8 @@ def test_brute_force_hand_checked_sets():
     # q = 3: regular indices mod 8 are {1,2,3,5,6,7}; even ones restrict trivially
     regular = [a for a in range(8) if is_regular(3, a)]
     assert regular == [1, 2, 3, 5, 6, 7]
-    assert [a for a in regular if restricts_to(3, a, 0)] == [2, 6]
-    assert [a for a in regular if restricts_to(3, a, 1)] == [1, 3, 5, 7]
+    assert [a for a in regular if a % 2 == 0] == [2, 6]  # a mod (q - 1) = nu
+    assert [a for a in regular if a % 2 == 1] == [1, 3, 5, 7]
     assert brute_force_regular_characters(3, 0) == 2
     assert brute_force_regular_characters(3, 1) == 4
     assert brute_force_regular_characters(5, 0) == 4

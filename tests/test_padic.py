@@ -17,9 +17,11 @@ from vndim.errors import (
     NegativeLength,
     NoSuchLattice,
     NotPrime,
+    NotPrimePower,
     OddRamifiedConductor,
     TooLarge,
 )
+from vndim.finite_field import PrimePower
 from vndim.padic import (
     INFINITE_VALUATION,
     WEYL_LENGTH_GUARD,
@@ -569,41 +571,43 @@ def test_negative_weyl_length_is_refused():
     lambda: quadratic_extension_count(3),
     lambda: jl_formal_dim(3, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
     lambda: main(["padic", "valuation", "--r", "18/5", "--p", "3"]),
+    lambda: PrimePower(3, 1),
 ], ids=["padic_valuation", "padic_abs", "ultrametric_check", "quadratic_extension_count",
-        "jl_formal_dim", "cli-valuation"])
+        "jl_formal_dim", "cli-valuation", "PrimePower"])
 def test_p_is_tested_once(monkeypatch, capsys, call):
-    import vndim.padic as padic
+    import vndim.finite_field as finite_field
 
     calls = []
-    is_prime = padic.is_prime
+    is_prime = finite_field.is_prime
 
     def counting(n):
         calls.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(padic, "is_prime", counting)
+    monkeypatch.setattr(finite_field, "is_prime", counting)
     call()
     assert calls == [3]
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: padic_valuation(Fraction(9), 3.0), "3.0 is not prime"),
-    (lambda: padic_abs(Fraction(9), 3.0), "3.0 is not prime"),
-    (lambda: ultrametric_check(Fraction(1), Fraction(2), 3.0), "3.0 is not prime"),
-    (lambda: quadratic_extension_count(3.0), "3.0 is not prime"),
-    (lambda: jl_formal_dim(3.0, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: padic_valuation(Fraction(9), 3.0), NotPrime, "3.0 is not prime"),
+    (lambda: padic_abs(Fraction(9), 3.0), NotPrime, "3.0 is not prime"),
+    (lambda: ultrametric_check(Fraction(1), Fraction(2), 3.0), NotPrime, "3.0 is not prime"),
+    (lambda: quadratic_extension_count(3.0), NotPrime, "3.0 is not prime"),
+    (lambda: jl_formal_dim(3.0, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)), NotPrime,
      "the formal-dimension table needs a prime p, got 3.0"),
+    (lambda: PrimePower(3.0, 1), NotPrimePower, "3.0 is not prime"),
 ], ids=["padic_valuation", "padic_abs", "ultrametric_check", "quadratic_extension_count",
-        "jl_formal_dim"])
-def test_a_float_p_is_refused_after_one_test(monkeypatch, call, message):
-    import vndim.padic as padic
+        "jl_formal_dim", "PrimePower"])
+def test_a_float_p_is_refused_after_one_test(monkeypatch, call, error, message):
+    import vndim.finite_field as finite_field
 
     calls = []
-    is_prime = padic.is_prime
-    monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    with pytest.raises(NotPrime) as raised:
+    is_prime = finite_field.is_prime
+    monkeypatch.setattr(finite_field, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    with pytest.raises(error) as raised:
         call()
-    assert (str(raised.value), calls) == (message, [3.0])
+    assert (type(raised.value), str(raised.value), calls) == (error, message, [3.0])
 
 
 def test_one_test_of_p_still_refuses_a_composite():
@@ -614,17 +618,17 @@ def test_one_test_of_p_still_refuses_a_composite():
 
 
 def test_jl_table_tests_p_once(monkeypatch):
-    import vndim.padic as padic
+    import vndim.finite_field as finite_field
     from vndim.tables import build_table
 
     calls = []
-    is_prime = padic.is_prime
+    is_prime = finite_field.is_prime
 
     def counting(n):
         calls.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(padic, "is_prime", counting)
+    monkeypatch.setattr(finite_field, "is_prime", counting)
     table = build_table("jl:3:40")
     assert len(table.rows) == 1 + 40 + 20
     assert calls == [3]

@@ -20,7 +20,15 @@ from pathlib import Path
 import pytest
 
 import vndim
-from vndim.errors import DomainError, NotPrimePower
+from vndim.errors import (
+    DomainError,
+    InvalidSignature,
+    LevelOutOfRange,
+    NegativeLength,
+    NonPositiveWeight,
+    NoSuchLattice,
+    NotPrimePower,
+)
 from vndim.exact import PiRational
 from vndim.finite_field import (
     EnumeratedOrders,
@@ -33,7 +41,14 @@ from vndim.finite_field import (
     group_orders,
     norm_trace_facts,
 )
-from vndim.fuchsian import FuchsianSignature, parse_signature
+from vndim.fuchsian import (
+    FuchsianSignature,
+    discrete_series_multiplicity,
+    formal_dimension_psl,
+    parse_signature,
+    two_lattice_vn_dimension,
+    vn_dimension,
+)
 from vndim.padic import (
     HaarNormalization,
     HaarVolumes,
@@ -41,12 +56,17 @@ from vndim.padic import (
     JLTag,
     LevelArithmetic,
     PadicLattice,
+    PadicRep,
     ReducedWeylWord,
     extension_level_arithmetic,
     haar_volumes,
     ihara_lattice,
+    lattice_covolume,
     parse_jl_class,
+    vn_dimension_padic,
     weyl_enumerate,
+    weyl_partial_sum,
+    weyl_words,
 )
 from vndim.tables import Table, build_table
 
@@ -190,6 +210,54 @@ def test_validation_errors_and_their_order(build, error, message):
     with pytest.raises(Exception) as raised:
         build()
     assert (type(raised.value).__name__, str(raised.value)) == (error, message)
+
+
+_SIG = parse_signature("0;2,3;1")
+_K_ONE = HaarNormalization.K_ONE
+
+#: (id, call of a value x, error, its message with {!r} for x): each integer parameter that
+#: finite_field._check_int checks, through each public function that takes it.  The genus,
+#: the cusp count and the conductor keep the messages of their types' own type checks.
+NON_INT_REFUSALS = [
+    ("PrimePower-f", lambda x: PrimePower(3, x), NotPrimePower,
+     "exponent must be an integer, got {!r}"),
+    ("weyl_words", weyl_words, NegativeLength, "word length bound must be an integer, got {!r}"),
+    ("weyl_enumerate", weyl_enumerate, NegativeLength,
+     "word length bound must be an integer, got {!r}"),
+    ("weyl_partial_sum", lambda x: weyl_partial_sum(3, x), NegativeLength,
+     "word length bound must be an integer, got {!r}"),
+    ("extension_level_arithmetic", lambda x: extension_level_arithmetic(x, 2), LevelOutOfRange,
+     "level must be an integer, got {!r}"),
+    ("ihara_lattice", lambda x: ihara_lattice(3, x), NoSuchLattice,
+     "free rank must be an integer, got {!r}"),
+    ("lattice_covolume", lambda x: lattice_covolume(3, x, _K_ONE), NoSuchLattice,
+     "free rank must be an integer, got {!r}"),
+    ("vn_dimension_padic", lambda x: vn_dimension_padic(3, x, PadicRep.STEINBERG, _K_ONE),
+     NoSuchLattice, "free rank must be an integer, got {!r}"),
+    ("formal_dimension_psl", formal_dimension_psl, NonPositiveWeight,
+     "discrete-series parameter must be an integer, got {!r}"),
+    ("discrete_series_multiplicity", lambda x: discrete_series_multiplicity(_SIG, x),
+     NonPositiveWeight, "discrete-series parameter must be an integer, got {!r}"),
+    ("vn_dimension", lambda x: vn_dimension(_SIG, x), NonPositiveWeight,
+     "discrete-series parameter must be an integer, got {!r}"),
+    ("two_lattice_vn_dimension", lambda x: two_lattice_vn_dimension(_SIG, _SIG, x),
+     NonPositiveWeight, "discrete-series parameter must be an integer, got {!r}"),
+    ("genus", lambda x: FuchsianSignature(x, (), 3), InvalidSignature,
+     "genus and cusp count must be ints, got {!r}, 3"),
+    ("cusps", lambda x: FuchsianSignature(0, (), x), InvalidSignature,
+     "genus and cusp count must be ints, got 0, {!r}"),
+    ("conductor", lambda x: JLClass(JLTag.UNRAMIFIED_CUSPIDAL, x), ValueError,
+     "need a JLTag and an int conductor, got <JLTag.UNRAMIFIED_CUSPIDAL: 'unram'>, {!r}"),
+]
+
+
+@pytest.mark.parametrize("value", [3.0, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in NON_INT_REFUSALS],
+                         ids=[row[0] for row in NON_INT_REFUSALS])
+def test_a_non_int_parameter_gets_its_domain_error(call, error, message, value):
+    with pytest.raises(Exception) as raised:
+        call(value)
+    assert (type(raised.value), str(raised.value)) == (error, message.format(value))
 
 
 #: (type, fields of a valid value, fields of an invalid one): the constructor
