@@ -13,6 +13,7 @@ compare by coefficient; unlike terms are refused rather than approximated).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ExponentOverflow, IncomparableExponents
@@ -35,6 +36,7 @@ def int_text(n: int) -> str:
     return int_text(high) + int_text(low).zfill(half)
 
 
+@functools.total_ordering  # <=, > and >= from __lt__ and __eq__: unlike terms raise alike
 class PiRational:
     """An exact value coeff * pi^pi_exp, canonical: coeff == 0 forces pi_exp == 0.
 
@@ -115,9 +117,6 @@ class PiRational:
 
     def __lt__(self, other: "PiRational") -> bool:
         return self.compare(other) < 0
-
-    def __gt__(self, other: "PiRational") -> bool:
-        return self.compare(other) > 0
 
     # -- conversions ---------------------------------------------------
 

@@ -174,11 +174,11 @@ def _check_prime(p: int, error, refusal: str = "{} is not prime") -> None:
         raise error(refusal.format(p))
 
 
-def _check_int(value, low: int, error, what: str) -> None:
-    """error unless value is an int (not a bool) >= low."""
+def _check_int(value, low: int | None, error, what: str) -> None:
+    """error unless value is an int (not a bool) >= low; low=None checks only the type."""
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise error(f"{what} must be >= {low}, got {value}")
 
 
@@ -309,9 +309,6 @@ class _Field:
     elements, reduced modulo g, never carries from one lane into the next.
     """
 
-    zero = 0
-    one = 1
-
     def __init__(self, p: int, f: int):
         self.p, self.f, self.order = p, f, p**f
         if self.order > FIELD_GUARD:
@@ -332,9 +329,6 @@ class _Field:
         for _ in range(f - 1):
             self._reductions.append(lanes(power))
             power = [(c + power[-1] * r) % p for c, r in zip([0] + power, x_f)]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def _element(self, lanes: int) -> int:
         """The element whose coefficients are the lanes' values mod p."""
@@ -359,7 +353,7 @@ class _Field:
         return self._element(low)
 
     def pow(self, a: int, n: int) -> int:
-        result = self.one
+        result = 1
         while n:
             if n & 1:
                 result = self.mul(result, a)
@@ -405,12 +399,12 @@ def enumerate_gl2(q) -> EnumeratedOrders:
     when ad != 0, whatever b is.
     """
     field = field_model(_enumerable(q))
-    elems = list(field.elements())
+    elems = range(field.order)
     products = Counter(field.mul(a, d) for a in elems for d in elems)
-    pairs = len(elems) ** 2
+    pairs = field.order**2
     return EnumeratedOrders(
         counted_order=pairs**2 - sum(count * count for count in products.values()),
-        counted_borel=len(elems) * (pairs - products[field.zero]),
+        counted_borel=field.order * (pairs - products[0]),
     )
 
 
@@ -459,9 +453,9 @@ def _frobenius(q) -> tuple:
     pp = _enumerable(q)
     big, p = _Field(pp.p, 2 * pp.f), pp.p
     conj_x = big.pow(p, pp.q)  # the element x is the int p
-    conj = [big.zero]
+    conj = [0]
     for a in range(1, big.order):
-        conj.append(big.add(conj[a - 1], big.one) if a % p else big.mul(conj_x, conj[a // p]))
+        conj.append(big.add(conj[a - 1], 1) if a % p else big.mul(conj_x, conj[a // p]))
     return big, pp.q, conj
 
 
@@ -474,15 +468,15 @@ def norm_trace_facts(q) -> NormTraceFacts:
     kernel has exactly q + 1 elements.  F_q is the fixed field of x -> x^q."""
     big, n, conj = _frobenius(q)
     norm_image, trace_image, kernel = set(), set(), 0
-    for x in big.elements():
+    for x in range(big.order):
         tr = big.add(x, conj[x])
         assert conj[tr] == tr, "trace is not fixed by Frobenius"
         trace_image.add(tr)
-        if x != big.zero:
+        if x:
             nx = big.mul(x, conj[x])
             assert conj[nx] == nx, "norm is not fixed by Frobenius"
             norm_image.add(nx)
-            if nx == big.one:
+            if nx == 1:
                 kernel += 1
     return NormTraceFacts(norm_surjective=len(norm_image) == n - 1,
                           trace_surjective=len(trace_image) == n, norm_kernel_size=kernel)
@@ -498,10 +492,9 @@ def hilbert90_count(q) -> int:
 
 def _hilbert90_quotients(q) -> set:
     big, _, conj = _frobenius(q)
-    subfield = [u for u in big.elements() if u != big.zero and conj[u] == u]
-    inverse = {u: next(v for v in subfield if big.mul(u, v) == big.one) for u in subfield}
-    return {big.mul(big.mul(x, x), inverse[big.mul(x, conj[x])])
-            for x in big.elements() if x != big.zero}
+    subfield = [u for u in range(1, big.order) if conj[u] == u]
+    inverse = {u: next(v for v in subfield if big.mul(u, v) == 1) for u in subfield}
+    return {big.mul(big.mul(x, x), inverse[big.mul(x, conj[x])]) for x in range(1, big.order)}
 
 
 # -- representation dimensions ------------------------------------------------

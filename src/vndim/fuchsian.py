@@ -62,7 +62,7 @@ class FuchsianSignature(_Sealed, namedtuple("FuchsianSignature", "genus elliptic
         _check_int(genus, 0, InvalidSignature, "genus")
         _check_int(cusps, 0, InvalidSignature, "cusp count")
         for m in self.elliptic_orders:
-            if not isinstance(m, int) or m < 2:
+            if type(m) is not int or m < 2:
                 raise InvalidSignature(f"elliptic order must be an integer >= 2, got {m}")
         # Each 1 - 1/m >= 1/2: the exact sum decides only when 2g - 2 + h + l/2 <= 0.
         if 4 * genus - 4 + 2 * cusps + len(self.elliptic_orders) <= 0:

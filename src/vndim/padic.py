@@ -119,11 +119,9 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     a str is parsed, not concatenated, and a float is added without rounding.
     """
     _check_prime(p, NotPrime)
-    if isinstance(r, (int, Fraction)) and isinstance(s, (int, Fraction)):
-        total = r + s
-    else:
-        total = Fraction(r) + Fraction(s)
-    return _valuation(total, p) >= min(_valuation(r, p), _valuation(s, p))
+    r = r if isinstance(r, (int, Fraction)) else Fraction(r)
+    s = s if isinstance(s, (int, Fraction)) else Fraction(s)
+    return _valuation(r + s, p) >= min(_valuation(r, p), _valuation(s, p))
 
 
 # -- quadratic extension level arithmetic -------------------------------------
@@ -139,7 +137,7 @@ def extension_level_arithmetic(n: int, e: int) -> LevelArithmetic:
     E^x of level e*n, and the trace maps the (1+n)-th power of E's maximal
     ideal onto the (1 + floor(n/e))-th power of F's.
     """
-    if e not in (1, 2):
+    if type(e) is not int or e not in (1, 2):
         raise BadRamification(f"ramification index of a quadratic extension is 1 or 2, got {e}")
     _check_int(n, 1, LevelOutOfRange, "level")
     return LevelArithmetic(composed_level=e * n, trace_ideal_exponent=1 + n // e)

@@ -58,7 +58,7 @@ def hilbert90_powers(field, q: int) -> set:
     """The set of x^(q^2 - q) over the nonzero x of `field`, a model of F_{q^2}:
     conj(x) = x^q and x^(q^2 - 1) = 1, so each quotient x * conj(x)^-1 is this
     single power of x (Hilbert 90 says they are the elements of norm 1)."""
-    return {field.pow(x, q * q - q) for x in field.elements() if x != field.zero}
+    return {field.pow(x, q * q - q) for x in range(1, field.order)}
 
 
 def _mat_mul(x: tuple, y: tuple, n: int) -> tuple:

@@ -95,6 +95,8 @@ def test_compare_like_terms():
     assert PiRational(2, 1).compare(PiRational(4, 1)) == -1
     assert PiRational(Fraction(1, 4)).compare(PiRational(Fraction(1, 4))) == 0
     assert PiRational(4, 1) > PiRational(2, 1)
+    assert PiRational(1) <= PiRational(2) and not PiRational(1) >= PiRational(2)
+    assert PiRational(2, 1) <= PiRational(2, 1) and PiRational(2, 1) >= PiRational(2, 1)
 
 
 def test_compare_mixed_exponents_rejected():
@@ -111,13 +113,17 @@ def test_compare_zero_against_pi_multiples():
     assert PI.compare(PiRational(0)) == 1
     assert PiRational(0, 1).compare(PiRational(0, -1)) == 0
     assert PiRational(0) < PiRational(Fraction(1, 3), 1)
+    assert PiRational(0) <= PI and PiRational(0) >= PiRational(-1, -1)
+    assert not PiRational(0) >= PI
 
 
 def test_compare_nonzero_unlike_terms_rejected_whatever_their_signs():
     for a, b in [(PI, PiRational(-2)), (PiRational(-1, -1), PiRational(3)),
                  (PiRational(5), PiRational(-1, 1))]:
-        with pytest.raises(IncomparableExponents):
-            a.compare(b)
+        for compare in (PiRational.compare, PiRational.__lt__, PiRational.__le__,
+                        PiRational.__gt__, PiRational.__ge__):
+            with pytest.raises(IncomparableExponents):
+                compare(a, b)
 
 
 def test_invalid_exponent_rejected():

@@ -74,7 +74,7 @@ def test_deterministic_field_model():
     # over Z/3 the first irreducible monic quadratic is x^2 + 1
     model = field_model(9)
     assert model.modulus == (0, 1)
-    assert len(list(model.elements())) == 9
+    assert model.order == 9
 
 
 def test_is_regular_small_cases():
@@ -406,10 +406,10 @@ def scan_gl2(q):
     """The q^4 scan: test the determinant of every matrix over the explicit field model."""
     field = field_model(q)
     total = upper = 0
-    for a, b, c, d in product(list(field.elements()), repeat=4):
+    for a, b, c, d in product(range(field.order), repeat=4):
         if field.mul(a, d) != field.mul(b, c):
             total += 1
-            upper += c == field.zero
+            upper += c == 0
     return total, upper
 
 
@@ -452,31 +452,29 @@ def test_field_model_is_a_field(q):
     import random
 
     field = field_model(q)
-    elems = list(field.elements())
-    assert len(set(elems)) == q
+    assert field.order == q
+    elems = range(q)
 
     def power(x, n):
-        result = field.one
+        result = 1
         for _ in range(n):
             result = field.mul(result, x)
         return result
 
-    for x in elems:
-        if x != field.zero:
-            assert power(x, q - 1) == field.one, x
+    for x in range(1, q):
+        assert power(x, q - 1) == 1, x
     rng = random.Random(q)
     for _ in range(200):
         a, b, c = (rng.choice(elems) for _ in range(3))
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.add(a, field.mul(a, field.p - 1)) == field.zero  # p - 1 is -1
+        assert field.add(a, field.mul(a, field.p - 1)) == 0  # p - 1 is -1
 
 
 def test_field_elements_are_base_p_digits():
     # F_9 = (Z/3)[x]/(x^2 + 1): the element 3 is x, so x * x = -1 = 2
     field = field_model(9)
-    assert list(field.elements()) == list(range(9))
-    assert (field.zero, field.one) == (0, 1)
+    assert field.order == 9
     assert field.mul(3, 3) == 2
     assert field.add(5, 4) == 6  # (2 + x) + (1 + x) = 2x
     for x in range(1, 9):
@@ -511,7 +509,7 @@ def test_oracles_agree_with_closed_forms_past_9():
 def test_frobenius_table_is_the_qth_power(q):
     big, n, conj = _frobenius(q)
     assert n == q and big.order == q * q
-    assert conj == [big.pow(x, q) for x in big.elements()]
+    assert conj == [big.pow(x, q) for x in range(big.order)]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])

@@ -1,3 +1,4 @@
+import enum
 import random
 import time
 from fractions import Fraction
@@ -116,6 +117,9 @@ def test_signature_validation():
         FuchsianSignature(-1, (), 5)
     with pytest.raises(InvalidSignature):
         parse_signature("0;2;3;1")
+    order = enum.IntEnum("Order", "ONE TWO").TWO
+    with pytest.raises(InvalidSignature):  # an int subclass would be stored as it is
+        FuchsianSignature(0, (order, 3), 1)
 
 
 # -- covolume ------------------------------------------------------------------

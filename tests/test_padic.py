@@ -164,6 +164,8 @@ def test_level_arithmetic_examples():
 def test_level_arithmetic_errors():
     with pytest.raises(BadRamification):
         extension_level_arithmetic(2, 3)
+    with pytest.raises(BadRamification):  # 2.0 == 2, but it would make the level 6.0
+        extension_level_arithmetic(3, 2.0)
     with pytest.raises(LevelOutOfRange):
         extension_level_arithmetic(0, 2)
 

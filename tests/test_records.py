@@ -21,15 +21,19 @@ import pytest
 
 import vndim
 from vndim.errors import (
+    BadRamification,
     DomainError,
     InvalidSignature,
     LevelOutOfRange,
     NegativeLength,
     NonPositiveWeight,
     NoSuchLattice,
+    NotFiniteIndex,
     NotPrimePower,
+    ZeroSize,
 )
 from vndim.exact import PiRational
+from vndim.factors import free_group_index, matrix_coupling
 from vndim.finite_field import (
     EnumeratedOrders,
     FiniteRepDims,
@@ -217,7 +221,8 @@ _K_ONE = HaarNormalization.K_ONE
 
 #: (id, call of a value x, error, its message with {!r} for x): each integer parameter that
 #: finite_field._check_int checks, through each public function that takes it.  The genus,
-#: the cusp count and the conductor keep the messages of their types' own type checks.
+#: the cusp count, the conductor and the ramification index e keep the messages of their
+#: own checks.
 NON_INT_REFUSALS = [
     ("PrimePower-f", lambda x: PrimePower(3, x), NotPrimePower,
      "exponent must be an integer, got {!r}"),
@@ -228,6 +233,16 @@ NON_INT_REFUSALS = [
      "word length bound must be an integer, got {!r}"),
     ("extension_level_arithmetic", lambda x: extension_level_arithmetic(x, 2), LevelOutOfRange,
      "level must be an integer, got {!r}"),
+    ("extension_level_arithmetic-e", lambda x: extension_level_arithmetic(1, x), BadRamification,
+     "ramification index of a quadratic extension is 1 or 2, got {}"),
+    ("matrix_coupling-n", lambda x: matrix_coupling(x, 3), ZeroSize,
+     "n must be an integer, got {!r}"),
+    ("matrix_coupling-k", lambda x: matrix_coupling(3, x), ZeroSize,
+     "k must be an integer, got {!r}"),
+    ("free_group_index-ambient", lambda x: free_group_index(x, 5), NotFiniteIndex,
+     "ambient rank must be an integer, got {!r}"),
+    ("free_group_index-sub", lambda x: free_group_index(3, x), NotFiniteIndex,
+     "subgroup rank must be an integer, got {!r}"),
     ("ihara_lattice", lambda x: ihara_lattice(3, x), NoSuchLattice,
      "free rank must be an integer, got {!r}"),
     ("lattice_covolume", lambda x: lattice_covolume(3, x, _K_ONE), NoSuchLattice,
