@@ -254,10 +254,6 @@ def _lattice(q: int, n: int) -> dict:
     return {"q": lattice.q.q, "rank": lattice.rank, "h": lattice.h}
 
 
-def _weyl(max_length: int) -> list:
-    return list(map(str, padic.weyl_words(max_length)))  # each word freed once it is text
-
-
 OPERATIONS = (
     Op("exact", None, "exact pi-rational scalar arithmetic"),
     Op("exact", "mul", "exact product of two scalars", operator.mul,
@@ -319,7 +315,7 @@ OPERATIONS = (
        INT("--n", "level of the base character"), INT("--e", "ramification index, 1 or 2")),
     Op("padic", "quadext", "number of quadratic extensions of Q_p",
        padic.quadratic_extension_count, INT("--p")),
-    Op("padic", "weyl", "reduced affine-Weyl words up to a length", _weyl,
+    Op("padic", "weyl", "reduced affine-Weyl words up to a length", padic.weyl_texts,
        INT("--max-length")),
     Op("padic", "weylsum", "partial sum 2*sum q^(-l) over lengths <= L", padic.weyl_partial_sum,
        INT("--q"), INT("--max-length")),

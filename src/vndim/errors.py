@@ -81,6 +81,10 @@ class NotPrimePower(DomainError):
     """An integer that is not p^f for a single prime p."""
 
 
+class BadCharacterIndex(DomainError):
+    """A character index (of F_{q^2}^x or F_q^x, both cyclic) that is not an integer."""
+
+
 class TooLarge(DomainError):
     """A request past a documented size bound.  The bounds, all module constants:
 

@@ -87,14 +87,17 @@ class PiRational:
 
     # -- comparison ----------------------------------------------------
 
-    def compare(self, other: "PiRational") -> int:
+    def compare(self, other: "PiRational | Fraction | int") -> int:
         """Total order on like terms: -1, 0, or 1.
 
         Only scalars with equal pi exponent are ordered; mixed exponents would
         need a numeric approximation of pi, which this type refuses to make.
         Zero is a like term of every exponent (it is stored with exponent 0), and
         c * pi^e has the sign of c, so a zero on either side orders by coefficient.
+        An int or a Fraction is pi^0, as == takes it.
         """
+        if isinstance(other, (int, Fraction)):
+            other = PiRational(other)
         if self.pi_exp != other.pi_exp and self.coeff and other.coeff:
             raise IncomparableExponents(
                 f"cannot order pi^{self.pi_exp} against pi^{other.pi_exp} exactly"
@@ -115,7 +118,7 @@ class PiRational:
     def __hash__(self):  # with no pi factor, as the int or Fraction it equals
         return hash((self.coeff, self.pi_exp) if self.pi_exp else self.coeff)
 
-    def __lt__(self, other: "PiRational") -> bool:
+    def __lt__(self, other: "PiRational | Fraction | int") -> bool:
         return self.compare(other) < 0
 
     # -- conversions ---------------------------------------------------

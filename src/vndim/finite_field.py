@@ -28,7 +28,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import product
 
-from .errors import EvenResidue, NotPrimePower, TooLarge
+from .errors import BadCharacterIndex, EvenResidue, NotPrimePower, TooLarge
 
 #: Field-model guard: a model tabulates every one of its p^f elements, and
 #: finding its modulus walks polynomials over Z/p, so a larger field is refused,
@@ -413,7 +413,9 @@ def enumerate_gl2(q) -> EnumeratedOrders:
 
 def is_regular(q, a: int) -> bool:
     """Whether the index-a character of F_{q^2}^x is regular: theta^q != theta."""
-    return _is_regular(as_prime_power(q).q, a)
+    n = as_prime_power(q).q
+    _check_int(a, None, BadCharacterIndex, "character index a")
+    return _is_regular(n, a)
 
 
 def _is_regular(n: int, a: int) -> bool:
@@ -433,6 +435,7 @@ def count_regular_characters(q, nu: int) -> int:
     trivial exactly when b is even.
     """
     n = as_prime_power(q).q
+    _check_int(nu, None, BadCharacterIndex, "character index nu")
     b = nu % (n - 1)
     return n - 1 if (b * (n - 1) // 2) % (n - 1) == 0 else n + 1
 
@@ -440,6 +443,7 @@ def count_regular_characters(q, nu: int) -> int:
 def brute_force_regular_characters(q, nu: int) -> int:
     """Oracle for count_regular_characters: enumerate all q^2 - 1 indices."""
     n = _enumerable(q).q
+    _check_int(nu, None, BadCharacterIndex, "character index nu")  # once, not per index
     return sum(1 for a in range(n * n - 1) if _is_regular(n, a) and _restricts_to(n, a, nu))
 
 

@@ -132,6 +132,7 @@ def cusp_form_dim(sig: FuchsianSignature, weight: int) -> int:
         0                                                       m = 0, h > 0
         0                                                       m < 0
     """
+    _check_int(weight, None, OddWeight, "weight")
     if weight % 2 != 0:
         raise OddWeight(f"cusp-form dimension formula needs an even weight, got {weight}")
     if weight < 0:

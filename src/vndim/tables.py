@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from .errors import NoSuchLattice, TooLarge, UnknownTable
-from .finite_field import as_prime_power
+from .finite_field import _check_int, as_prime_power
 from .fuchsian import FREE_CONGRUENCE_CHAIN, catalog, covolume, vn_dimension
 from .padic import (
     HaarNormalization,
@@ -39,6 +39,7 @@ TABLE_DIGIT_GUARD = 2 * 10**6
 
 def hecke_table(q_max: int) -> tuple:
     """Triangle-group lattices H_q (signature (0; 2, q; 1)) with their covolumes."""
+    _check_int(q_max, None, UnknownTable, "hecke table qmax")
     if q_max < 3:
         raise UnknownTable(f"hecke table needs qmax >= 3, got {q_max}")
     rows = []

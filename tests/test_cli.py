@@ -23,7 +23,7 @@ from vndim import cli
 from vndim.cli import COMMON, OPERATIONS, main
 from vndim.exact import PiRational, int_text, parse_pi_rational
 from vndim.fuchsian import _CONGRUENCE_CATALOG
-from vndim.padic import WEYL_LENGTH_GUARD, JLTag, weyl_enumerate
+from vndim.padic import WEYL_LENGTH_GUARD, JLTag, ReducedWeylWord, weyl_enumerate
 from vndim.tables import Table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -844,6 +844,16 @@ def test_cli_word_list_prints_as_the_enumerated_words_render(capsys, max_length,
                              "--format", fmt)
     assert (code, err) == (0, "")
     assert out == cli.render_result(weyl_enumerate(max_length), fmt, False)
+
+
+def test_the_cli_word_list_builds_no_word(capsys, monkeypatch):
+    built, new = [], ReducedWeylWord.__new__  # every word is built here
+    monkeypatch.setattr(ReducedWeylWord, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    assert run_cli(capsys, "padic", "weyl", "--max-length", "57")[0] == 0
+    assert built == []
+    weyl_enumerate(1)  # the spy sees the words that are built
+    assert len(built) == 3
 
 
 # -- csv quoting, against the stdlib csv writer ------------------------------------------

@@ -126,6 +126,42 @@ def test_compare_nonzero_unlike_terms_rejected_whatever_their_signs():
                 compare(a, b)
 
 
+#: Plain rationals a PiRational is ordered against, as pi^0 (== already takes them so).
+PLAIN = [2, Fraction(1, 2), 0, Fraction(0), -1, True]
+
+
+@pytest.mark.parametrize("plain", PLAIN, ids=repr)
+@pytest.mark.parametrize("value", [PiRational(1), PiRational(Fraction(1, 2)), PiRational(0),
+                                   PiRational(0, 1), PiRational(-3)], ids=repr)
+def test_a_pi_free_value_orders_against_an_int_or_fraction_in_both_orders(value, plain):
+    c = value.coeff
+    assert value.compare(plain) == (c > plain) - (c < plain)
+    assert (value < plain, value <= plain, value > plain, value >= plain) == (
+        c < plain, c <= plain, c > plain, c >= plain)
+    assert (plain < value, plain <= value, plain > value, plain >= value) == (
+        plain < c, plain <= c, plain > c, plain >= c)
+
+
+@pytest.mark.parametrize("plain", [2, Fraction(-1, 2), True], ids=repr)
+@pytest.mark.parametrize("value", [PI, PiRational(-1, -1)], ids=repr)
+def test_a_nonzero_pi_multiple_against_a_nonzero_int_or_fraction_is_refused(value, plain):
+    operators = [lambda a, b: a.compare(b), lambda a, b: a < b, lambda a, b: a <= b,
+                 lambda a, b: a > b, lambda a, b: a >= b]
+    for op in operators:
+        with pytest.raises(IncomparableExponents):
+            op(value, plain)
+    for op in operators[1:]:
+        with pytest.raises(IncomparableExponents):
+            op(plain, value)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=repr)
+def test_a_pi_multiple_orders_against_a_zero_int_or_fraction_by_its_sign(zero):
+    assert PI > zero and zero < PI and PI >= zero and not PI <= zero
+    assert PiRational(-1, -1) < zero and zero > PiRational(-1, -1)
+    assert PiRational(2, 1).compare(zero) == 1
+
+
 def test_invalid_exponent_rejected():
     with pytest.raises(ExponentOverflow):
         PiRational(1, 2)

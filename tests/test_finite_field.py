@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from vndim import finite_field
 from vndim.cli import main
 from vndim.errors import DomainError, EvenResidue, NotPrimePower, TooLarge
 from vndim.finite_field import (
@@ -563,3 +564,13 @@ def test_field_model_refuses_a_large_field_at_once():
         with pytest.raises(TooLarge, match=f"exceeds field-model guard {FIELD_GUARD}"):
             field_model(q)
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("q", [3, 9, 97])
+def test_the_brute_force_count_checks_nu_once_per_call(monkeypatch, q):
+    checked, check = [], finite_field._check_int
+    monkeypatch.setattr(finite_field, "_check_int",
+                        lambda *args: checked.append(args[-1]) or check(*args))
+    assert brute_force_regular_characters(q, 1) == count_regular_characters(q, 1)
+    # nu once by each count, and never in the q^2-step scan
+    assert checked.count("character index nu") == 2

@@ -48,6 +48,7 @@ from vndim.padic import (
     weyl_enumerate,
     weyl_length_histogram,
     weyl_partial_sum,
+    weyl_texts,
     weyl_words,
 )
 from vndim.padic import _abs_from_valuation
@@ -364,14 +365,21 @@ def test_weyl_words_yields_the_enumerated_words_in_order(max_length):
     assert list(words) == weyl_enumerate(max_length)
 
 
+@pytest.mark.parametrize("call", [weyl_words, weyl_texts])
 @pytest.mark.parametrize("max_length, error, message", [
     (-1, NegativeLength, "word length bound must be >= 0, got -1"),
     (WEYL_LENGTH_GUARD + 1, TooLarge, "word length bound 2001 exceeds Weyl-word guard 2000"),
 ])
-def test_weyl_words_refuses_at_the_call_before_any_word(max_length, error, message):
+def test_weyl_words_refuses_at_the_call_before_any_word(call, max_length, error, message):
     with pytest.raises(error) as raised:
-        weyl_words(max_length)  # never iterated
+        call(max_length)  # weyl_words' iterator is never run
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("max_length", sorted(
+    {*range(301), *range(0, WEYL_LENGTH_GUARD, 37), WEYL_LENGTH_GUARD}))
+def test_weyl_texts_are_the_enumerated_words_texts(max_length):
+    assert weyl_texts(max_length) == [str(word) for word in weyl_enumerate(max_length)]
 
 
 @pytest.mark.parametrize("max_length", [0, 1, 57, WEYL_LENGTH_GUARD])

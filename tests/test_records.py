@@ -21,6 +21,7 @@ import pytest
 
 import vndim
 from vndim.errors import (
+    BadCharacterIndex,
     BadRamification,
     DomainError,
     InvalidSignature,
@@ -30,6 +31,8 @@ from vndim.errors import (
     NoSuchLattice,
     NotFiniteIndex,
     NotPrimePower,
+    OddWeight,
+    UnknownTable,
     ZeroSize,
 )
 from vndim.exact import PiRational
@@ -40,13 +43,17 @@ from vndim.finite_field import (
     GroupOrders,
     NormTraceFacts,
     PrimePower,
+    brute_force_regular_characters,
+    count_regular_characters,
     enumerate_gl2,
     finite_rep_dims,
     group_orders,
+    is_regular,
     norm_trace_facts,
 )
 from vndim.fuchsian import (
     FuchsianSignature,
+    cusp_form_dim,
     discrete_series_multiplicity,
     formal_dimension_psl,
     parse_signature,
@@ -70,9 +77,10 @@ from vndim.padic import (
     vn_dimension_padic,
     weyl_enumerate,
     weyl_partial_sum,
+    weyl_texts,
     weyl_words,
 )
-from vndim.tables import Table, build_table
+from vndim.tables import Table, build_table, hecke_table
 
 PADIC_COLUMNS = ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal")
 
@@ -220,13 +228,14 @@ _SIG = parse_signature("0;2,3;1")
 _K_ONE = HaarNormalization.K_ONE
 
 #: (id, call of a value x, error, its message with {!r} for x): each integer parameter that
-#: finite_field._check_int checks, through each public function that takes it.  The genus,
-#: the cusp count, the conductor and the ramification index e keep the messages of their
-#: own checks.
+#: finite_field._check_int checks, through each public function that takes it (weyl_texts
+#: through weyl_words' own check).  The genus, the cusp count, the conductor and the
+#: ramification index e keep the messages of their own checks.
 NON_INT_REFUSALS = [
     ("PrimePower-f", lambda x: PrimePower(3, x), NotPrimePower,
      "exponent must be an integer, got {!r}"),
     ("weyl_words", weyl_words, NegativeLength, "word length bound must be an integer, got {!r}"),
+    ("weyl_texts", weyl_texts, NegativeLength, "word length bound must be an integer, got {!r}"),
     ("weyl_enumerate", weyl_enumerate, NegativeLength,
      "word length bound must be an integer, got {!r}"),
     ("weyl_partial_sum", lambda x: weyl_partial_sum(3, x), NegativeLength,
@@ -263,6 +272,15 @@ NON_INT_REFUSALS = [
      "genus and cusp count must be ints, got 0, {!r}"),
     ("conductor", lambda x: JLClass(JLTag.UNRAMIFIED_CUSPIDAL, x), ValueError,
      "need a JLTag and an int conductor, got <JLTag.UNRAMIFIED_CUSPIDAL: 'unram'>, {!r}"),
+    ("cusp_form_dim", lambda x: cusp_form_dim(_SIG, x), OddWeight,
+     "weight must be an integer, got {!r}"),
+    ("hecke_table", hecke_table, UnknownTable, "hecke table qmax must be an integer, got {!r}"),
+    ("is_regular", lambda x: is_regular(3, x), BadCharacterIndex,
+     "character index a must be an integer, got {!r}"),
+    ("count_regular_characters", lambda x: count_regular_characters(3, x), BadCharacterIndex,
+     "character index nu must be an integer, got {!r}"),
+    ("brute_force_regular_characters", lambda x: brute_force_regular_characters(3, x),
+     BadCharacterIndex, "character index nu must be an integer, got {!r}"),
 ]
 
 
