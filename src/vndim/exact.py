@@ -94,10 +94,12 @@ class PiRational:
         need a numeric approximation of pi, which this type refuses to make.
         Zero is a like term of every exponent (it is stored with exponent 0), and
         c * pi^e has the sign of c, so a zero on either side orders by coefficient.
-        An int or a Fraction is pi^0, as == takes it.
+        An int or a Fraction is pi^0, as == takes it; any other type is a TypeError.
         """
         if isinstance(other, (int, Fraction)):
             other = PiRational(other)
+        elif not isinstance(other, PiRational):
+            raise TypeError(f"cannot order a PiRational against type {type(other).__name__!r}")
         if self.pi_exp != other.pi_exp and self.coeff and other.coeff:
             raise IncomparableExponents(
                 f"cannot order pi^{self.pi_exp} against pi^{other.pi_exp} exactly"
@@ -185,6 +187,8 @@ def parse_pi_rational(text: str) -> PiRational:
     Accepts both the unicode and ASCII renderings ("1/3·π", "1/3*pi",
     "5/(4*pi)", "2*pi", "pi", "-pi", "7/2", "4"), with optional whitespace.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse scalar {text!r}")
     s = text.strip().replace("π", "pi").replace("·", "*").replace(" ", "")
     if not s:
         raise ValueError("empty scalar")

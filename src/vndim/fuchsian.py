@@ -101,7 +101,7 @@ def _reciprocal_sum(orders: tuple) -> tuple[int, int]:
 
 def parse_signature(text: str) -> FuchsianSignature:
     """Parse "g;m1,m2,...;h" ("-" for no elliptic orders), e.g. "0;2,3;1", "0;-;3"."""
-    parts = text.strip().split(";")
+    parts = text.strip().split(";") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise InvalidSignature(f"signature must have three ';'-separated fields: {text!r}")
     g_text, orders_text, h_text = (p.strip() for p in parts)
@@ -255,7 +255,7 @@ def catalog(name: str) -> FuchsianSignature:
     "Gamma0(4)", "Gamma0(4)capGamma(2)", "Gamma(4)"."""
     if name in _CONGRUENCE_CATALOG:
         return _CONGRUENCE_CATALOG[name]
-    if name.startswith("H"):
+    if isinstance(name, str) and name.startswith("H"):
         try:
             q = int(name[1:])
         except ValueError:

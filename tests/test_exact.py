@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -160,6 +161,20 @@ def test_a_pi_multiple_orders_against_a_zero_int_or_fraction_by_its_sign(zero):
     assert PI > zero and zero < PI and PI >= zero and not PI <= zero
     assert PiRational(-1, -1) < zero and zero > PiRational(-1, -1)
     assert PiRational(2, 1).compare(zero) == 1
+
+
+@pytest.mark.parametrize("other", [2.0, "2", None, (), 1j], ids=repr)
+@pytest.mark.parametrize("value", [PiRational(1), PiRational(0), PI], ids=repr)
+def test_any_other_type_is_refused_by_compare_and_the_order_in_both_orders(value, other):
+    message = re.escape(f"cannot order a PiRational against type {type(other).__name__!r}")
+    with pytest.raises(TypeError, match=message):
+        value.compare(other)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError, match=message):
+            op(value, other)
+        with pytest.raises(TypeError, match=message):
+            op(other, value)
+    assert (value == other, other == value) == (False, False)  # == answers, unchanged
 
 
 def test_invalid_exponent_rejected():

@@ -27,7 +27,7 @@ from vndim.finite_field import (
     norm_trace_facts,
 )
 from vndim.finite_field import _MILLER_RABIN_BOUNDS, _SMALL_PRIMES, _frobenius, _hilbert90_quotients
-from vndim.padic import HaarNormalization, PadicRep, vn_dimension_padic
+from vndim.padic import HaarNormalization, PadicRep, depth_zero_formal_dim, vn_dimension_padic
 from vndim.tables import build_table
 
 from oracles import factors_through_norm, hilbert90_powers, sieve_primes
@@ -151,6 +151,41 @@ def test_finite_rep_dims():
     for q in SMALL_Q:
         d = finite_rep_dims(q)
         assert d.principal_series_dim == d.steinberg_dim + 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_the_cuspidal_dimension_from_the_class_equation_of_gl2(q):
+    # Fulton-Harris, Representation Theory, Sec. 5.2: the irreducibles of G = GL(2,F_q) are
+    # q - 1 characters chi(det), q - 1 twists of the Steinberg representation, (q-1)(q-2)/2
+    # principal series and one cuspidal representation per pair {theta, theta^q} of
+    # regular characters of F_{q^2}^x.  They are as many as the conjugacy classes, and
+    # their squared dimensions add up to |G|, which leaves one cuspidal dimension.
+    counted = enumerate_gl2(q)
+    principal = counted.counted_order // counted.counted_borel  # [G:B] = dim Ind_B^G 1
+    steinberg = principal - 1
+    field = field_model(q)
+    elems = range(field.order)
+    add = [[field.add(x, y) for y in elems] for x in elems]
+    mul = [[field.mul(x, y) for y in elems] for x in elems]
+    negative = mul[next(x for x in elems if add[x][1] == 0)]  # times -1
+    # A scalar matrix is a class alone; the others are cyclic, one class per (trace, det).
+    scalars, keys = 0, set()
+    for a, b, c, d in product(elems, repeat=4):
+        det = add[mul[a][d]][negative[mul[b][c]]]
+        if det and b == c == 0 and a == d:
+            scalars += 1
+        elif det:
+            keys.add((add[a][d], det))
+    regular = sum(1 for a in range(q * q - 1) if a * q % (q * q - 1) != a)
+    assert regular % 2 == 0
+    families, series = regular // 2, (q - 1) * (q - 2) // 2
+    assert 2 * (q - 1) + series + families == scalars + len(keys)
+    square = Fraction(counted.counted_order - (q - 1) * (1 + steinberg**2)
+                      - series * principal**2, families)
+    root = math.isqrt(int(square))
+    assert square > 0 and square == root * root  # the one positive solution
+    assert root == finite_rep_dims(q).cuspidal_dim
+    assert root == depth_zero_formal_dim(q, HaarNormalization.K_ONE)
 
 
 #: Odd prime powers past 9, up to 97, the largest with q^2 <= FIELD_GUARD.

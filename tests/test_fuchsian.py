@@ -1,4 +1,5 @@
 import enum
+import math
 import random
 import time
 from fractions import Fraction
@@ -443,6 +444,46 @@ def test_congruence_chain_against_coset_permutations():
         assert free_group_index(rank, sub_rank) == e
         for m in (1, 3, 5, 7, 11):
             assert vn_dimension(catalog(sub_name), m) == e * vn_dimension(catalog(name), m)
+
+
+def gamma0_signature(n: int) -> tuple:
+    """(mu, e2, e3, h, g) of Gamma0(n) by the classical formulas (Diamond-Shurman,
+    A First Course in Modular Forms, Ch. 3): mu = n prod (1 + 1/p) over the primes
+    p | n; e2 = prod (1 + (-1/p)) unless 4 | n, e3 = prod (1 + (-3/p)) unless 9 | n,
+    else 0; h = sum phi(gcd(d, n/d)) over the divisors d of n; g from the genus
+    formula g = 1 + mu/12 - e2/4 - e3/3 - h/2."""
+
+    def phi(m):
+        return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+    minus_one = {p: 0 if p == 2 else 1 if p % 4 == 1 else -1 for p in primes}  # (-1/p)
+    minus_three = {p: 0 if p == 3 else 1 if p % 3 == 1 else -1 for p in primes}  # (-3/p)
+    mu = n * math.prod(Fraction(p + 1, p) for p in primes)
+    e2 = 0 if n % 4 == 0 else math.prod(1 + minus_one[p] for p in primes)
+    e3 = 0 if n % 9 == 0 else math.prod(1 + minus_three[p] for p in primes)
+    h = sum(phi(math.gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
+    return mu, e2, e3, h, 1 + mu / 12 - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(h, 2)
+
+
+#: n -> {weight k: dim S_k(Gamma0(n))}, as tabulated by the LMFDB: the elliptic curve
+#: X0(11) gives S_2(Gamma0(11)) its one form, and S_12(Gamma0(11)) holds 8 newforms
+#: and the two oldforms of Delta.
+GAMMA0_CUSP_FORM_DIMS = {11: {2: 1, 12: 10}, 5: {4: 1}, 3: {6: 1}}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 11, 13, 25])
+def test_gamma0_with_elliptic_points_through_the_coset_oracle(n):
+    # Gamma0(n) has index mu in PSL(2,Z), so its covolume and each von Neumann dimension
+    # are mu times those of PSL(2,Z): the (1 - 1/m) terms of the covolume meet an index.
+    mu, e2, e3, h, g = coset_signature(n, lambda x: x[2] == 0)
+    assert (mu, e2, e3, h, g) == gamma0_signature(n)
+    sig = FuchsianSignature(int(g), (2,) * e2 + (3,) * e3, h)
+    for m in (3, 5, 11):
+        assert vn_dimension(sig, m) == mu * vn_dimension(MODULAR, m), m
+    assert covolume(sig) == mu * covolume(MODULAR)
+    for weight, dim in GAMMA0_CUSP_FORM_DIMS.get(n, {}).items():
+        assert cusp_form_dim(sig, weight) == dim, weight
 
 
 def test_principal_congruence_multiplicities_approach_the_von_neumann_dimension():

@@ -32,10 +32,11 @@ from vndim.errors import (
     NotFiniteIndex,
     NotPrimePower,
     OddWeight,
+    UnknownGroup,
     UnknownTable,
     ZeroSize,
 )
-from vndim.exact import PiRational
+from vndim.exact import PiRational, parse_pi_rational
 from vndim.factors import free_group_index, matrix_coupling
 from vndim.finite_field import (
     EnumeratedOrders,
@@ -53,6 +54,7 @@ from vndim.finite_field import (
 )
 from vndim.fuchsian import (
     FuchsianSignature,
+    catalog,
     cusp_form_dim,
     discrete_series_multiplicity,
     formal_dimension_psl,
@@ -290,6 +292,25 @@ NON_INT_REFUSALS = [
 def test_a_non_int_parameter_gets_its_domain_error(call, error, message, value):
     with pytest.raises(Exception) as raised:
         call(value)
+    assert (type(raised.value), str(raised.value)) == (error, message.format(value))
+
+
+#: (text parser, its refusal of malformed text, that refusal's message with {!r} for the text).
+TEXT_PARSERS = [
+    (catalog, UnknownGroup, "unknown group {!r}"),
+    (parse_signature, InvalidSignature, "signature must have three ';'-separated fields: {!r}"),
+    (parse_pi_rational, ValueError, "cannot parse scalar {!r}"),
+    (parse_jl_class, ValueError,
+     "cannot parse class {!r}; expected special, unram:j=<n>, or ram:j=<n>"),
+]
+
+
+@pytest.mark.parametrize("value", [2.0, True, None, Fraction(3), -1, (), 10**40], ids=repr)
+@pytest.mark.parametrize("parse, error, message", TEXT_PARSERS,
+                         ids=[row[0].__name__ for row in TEXT_PARSERS])
+def test_a_text_parser_refuses_a_non_str_as_malformed_text(parse, error, message, value):
+    with pytest.raises(Exception) as raised:
+        parse(value)
     assert (type(raised.value), str(raised.value)) == (error, message.format(value))
 
 
