@@ -56,7 +56,13 @@ class FuchsianSignature(_Sealed, namedtuple("FuchsianSignature", "genus elliptic
     __slots__ = ()
 
     def __new__(cls, genus: int, elliptic_orders=(), cusps: int = 0):  # checks, for pickle too
-        self = tuple.__new__(cls, (genus, tuple(elliptic_orders), cusps))
+        try:
+            orders = tuple(elliptic_orders)
+        except TypeError:
+            raise InvalidSignature(
+                f"elliptic orders must be an iterable of ints, got {elliptic_orders!r}"
+            ) from None
+        self = tuple.__new__(cls, (genus, orders, cusps))
         if type(genus) is not int or type(cusps) is not int:
             raise InvalidSignature(f"genus and cusp count must be ints, got {genus!r}, {cusps!r}")
         _check_int(genus, 0, InvalidSignature, "genus")
@@ -155,6 +161,8 @@ def _check_parameter(m: int, mode: GroupMode) -> None:
         raise ParityViolation(
             f"parameter {m} is even; only odd parameters act through PSL(2,R)"
         )
+    if mode not in (GroupMode.PSL2R, GroupMode.SL2R):
+        raise TypeError(f"mode must be a GroupMode, got {mode!r}")
 
 
 def discrete_series_multiplicity(
@@ -253,14 +261,15 @@ FREE_CONGRUENCE_CHAIN = tuple((name, 2 * sig.genus + sig.cusps - 1)
 def catalog(name: str) -> FuchsianSignature:
     """Signatures of the named groups: "H<q>" (q >= 3) and the congruence chain
     "Gamma0(4)", "Gamma0(4)capGamma(2)", "Gamma(4)"."""
-    if name in _CONGRUENCE_CATALOG:
-        return _CONGRUENCE_CATALOG[name]
-    if isinstance(name, str) and name.startswith("H"):
-        try:
-            q = int(name[1:])
-        except ValueError:
-            raise UnknownGroup(f"unknown group {name!r}") from None
-        if q < 3:
-            raise UnknownGroup(f"Hecke groups need q >= 3, got {name!r}")
-        return FuchsianSignature(0, (2, q), 1)
+    if isinstance(name, str):  # before the dict lookup, which an unhashable name fails
+        if name in _CONGRUENCE_CATALOG:
+            return _CONGRUENCE_CATALOG[name]
+        if name.startswith("H"):
+            try:
+                q = int(name[1:])
+            except ValueError:
+                raise UnknownGroup(f"unknown group {name!r}") from None
+            if q < 3:
+                raise UnknownGroup(f"Hecke groups need q >= 3, got {name!r}")
+            return FuchsianSignature(0, (2, q), 1)
     raise UnknownGroup(f"unknown group {name!r}")

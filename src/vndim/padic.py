@@ -285,7 +285,9 @@ def _vol_KZ(q: int, norm: HaarNormalization) -> Fraction:
         return Fraction(q + 1)
     if norm is HaarNormalization.K_ONE:
         return Fraction(1)
-    return Fraction(q - 1, 2)
+    if norm is HaarNormalization.K_HALF_Q_MINUS_ONE:
+        return Fraction(q - 1, 2)
+    raise TypeError(f"norm must be a HaarNormalization, got {norm!r}")
 
 
 def haar_volumes(q, norm: HaarNormalization) -> HaarVolumes:
@@ -359,11 +361,12 @@ def vn_dimension_padic(q, n: int, rep: PadicRep, norm: HaarNormalization) -> Fra
     the depth-zero cuspidal representation under every normalization.
     """
     pp = as_prime_power(q)
+    covol = lattice_covolume(pp, n, norm)
     if rep is PadicRep.STEINBERG:
-        d = steinberg_formal_dim(pp, norm)
-    else:
-        d = depth_zero_formal_dim(pp, norm)
-    return d * lattice_covolume(pp, n, norm)
+        return steinberg_formal_dim(pp, norm) * covol
+    if rep is PadicRep.DEPTH_ZERO_CUSPIDAL:
+        return depth_zero_formal_dim(pp, norm) * covol
+    raise TypeError(f"rep must be a PadicRep, got {rep!r}")
 
 
 # -- Jacquet-Langlands table -----------------------------------------------------

@@ -4,8 +4,10 @@ import functools
 import gc
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -161,6 +163,18 @@ def test_a_result_json_cannot_carry_is_an_internal_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli.padic, "quadratic_extension_count", lambda p: object())
     assert run_cli(capsys, "padic", "quadext", "--p", "3", "--format", "json") == (
         3, "", "internal error: TypeError: Object of type object is not JSON serializable\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["padic", "--help"], 0), (["nosuch"], 1),
+                                        (["ff", "enumerate", "--q", "101"], 2)])
+def test_python_m_vndim_cli_exits_and_prints_as_main_does(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # the help and usage text wrap to the terminal
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONIOENCODING="utf-8")
+    out = subprocess.run([sys.executable, "-m", "vndim.cli", *argv], env=env,
+                         capture_output=True, encoding="utf-8")
+    assert (out.returncode, out.stdout, out.stderr) == run_cli(capsys, *argv)
+    assert out.returncode == code
 
 
 # -- formats ----------------------------------------------------------------------------

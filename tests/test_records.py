@@ -54,6 +54,7 @@ from vndim.finite_field import (
 )
 from vndim.fuchsian import (
     FuchsianSignature,
+    GroupMode,
     catalog,
     cusp_form_dim,
     discrete_series_multiplicity,
@@ -71,11 +72,13 @@ from vndim.padic import (
     PadicLattice,
     PadicRep,
     ReducedWeylWord,
+    depth_zero_formal_dim,
     extension_level_arithmetic,
     haar_volumes,
     ihara_lattice,
     lattice_covolume,
     parse_jl_class,
+    steinberg_formal_dim,
     vn_dimension_padic,
     weyl_enumerate,
     weyl_partial_sum,
@@ -193,7 +196,8 @@ def test_sequences_are_normalised_to_tuples():
      "elliptic order must be an integer >= 2, got 2.0"),
     (lambda: FuchsianSignature(0, (2, 2), 1), "NonHyperbolic",
      "signature 0;2,2;1 has Gauss-Bonnet area 2*pi*0 <= 0"),
-    (lambda: FuchsianSignature(0, 5, 1), "TypeError", "'int' object is not iterable"),
+    (lambda: FuchsianSignature(0, 5, 1), "InvalidSignature",
+     "elliptic orders must be an iterable of ints, got 5"),
     (lambda: JLClass(JLTag.GENERALIZED_SPECIAL, 1), "ValueError",
      "generalized special classes carry no conductor"),
     (lambda: JLClass(JLTag.UNRAMIFIED_CUSPIDAL), "ValueError", "conductor must be >= 1, got 0"),
@@ -305,13 +309,52 @@ TEXT_PARSERS = [
 ]
 
 
-@pytest.mark.parametrize("value", [2.0, True, None, Fraction(3), -1, (), 10**40], ids=repr)
+@pytest.mark.parametrize("value", [2.0, True, None, Fraction(3), -1, (), 10**40, []], ids=repr)
 @pytest.mark.parametrize("parse, error, message", TEXT_PARSERS,
                          ids=[row[0].__name__ for row in TEXT_PARSERS])
 def test_a_text_parser_refuses_a_non_str_as_malformed_text(parse, error, message, value):
     with pytest.raises(Exception) as raised:
         parse(value)
     assert (type(raised.value), str(raised.value)) == (error, message.format(value))
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, None, float("nan"), 10**40, -1, 0, Fraction(3)],
+                         ids=repr)
+def test_elliptic_orders_that_are_not_iterable_are_an_invalid_signature(value):
+    with pytest.raises(Exception) as raised:
+        FuchsianSignature(0, value, 3)
+    assert (type(raised.value), str(raised.value)) == (
+        InvalidSignature, f"elliptic orders must be an iterable of ints, got {value!r}")
+
+
+#: (id, call of a value x at an enum parameter, the parameter's name, a member): every
+#: dispatch on HaarNormalization, PadicRep or GroupMode, with the other arguments valid.
+#: m = 2 is even: PSL2R refuses it, and a non-member taken for SL2R would answer.
+ENUM_PARAMETERS = [
+    ("haar_volumes", lambda x: haar_volumes(5, x), "norm", _K_ONE),
+    ("steinberg_formal_dim", lambda x: steinberg_formal_dim(5, x), "norm", _K_ONE),
+    ("depth_zero_formal_dim", lambda x: depth_zero_formal_dim(5, x), "norm", _K_ONE),
+    ("lattice_covolume", lambda x: lattice_covolume(5, 3, x), "norm", _K_ONE),
+    ("vn_dimension_padic-norm", lambda x: vn_dimension_padic(3, 4, PadicRep.STEINBERG, x),
+     "norm", _K_ONE),
+    ("vn_dimension_padic-rep", lambda x: vn_dimension_padic(3, 4, x, _K_ONE), "rep",
+     PadicRep.STEINBERG),
+    ("formal_dimension_psl", lambda x: formal_dimension_psl(2, x), "mode", GroupMode.PSL2R),
+    ("vn_dimension", lambda x: vn_dimension(_SIG, 2, x), "mode", GroupMode.PSL2R),
+    ("discrete_series_multiplicity", lambda x: discrete_series_multiplicity(_SIG, 2, x), "mode",
+     GroupMode.PSL2R),
+]
+
+
+@pytest.mark.parametrize("as_value", [True, False], ids=["value", "None"])
+@pytest.mark.parametrize("call, name, member", [row[1:] for row in ENUM_PARAMETERS],
+                         ids=[row[0] for row in ENUM_PARAMETERS])
+def test_an_enum_parameter_refuses_anything_but_a_member(call, name, member, as_value):
+    value = member.value if as_value else None
+    with pytest.raises(Exception) as raised:
+        call(value)
+    assert (type(raised.value), str(raised.value)) == (
+        TypeError, f"{name} must be a {type(member).__name__}, got {value!r}")
 
 
 #: (type, fields of a valid value, fields of an invalid one): the constructor
