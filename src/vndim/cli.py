@@ -24,14 +24,11 @@ minimal quoting does, when it holds '"', ',' or a newline, each '"' inside it
 doubled; a row of one empty cell prints as "".
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import math
 import operator
-import re
 import shutil
 import sys
 from collections import namedtuple
@@ -39,7 +36,7 @@ from fractions import Fraction
 
 from . import factors, finite_field, fuchsian, padic
 from .errors import DomainError, TooLarge
-from .exact import PiRational, int_text, parse_pi_rational
+from .exact import PiRational, _fraction, int_text, parse_pi_rational
 from .fuchsian import GroupMode, parse_signature
 from .padic import HaarNormalization, PadicRep, parse_jl_class
 from .tables import TABLE_NAMES, Table, build_table
@@ -54,30 +51,14 @@ def _scalar(text: str) -> PiRational:
     return parse_pi_rational(text)
 
 
-#: A decimal exponent as Fraction reads it (compiled on first use, not at import).
-_EXPONENT = r"e([-+]?\d+(?:_\d+)*)"
-
-
 def _exact(parse, what: str):
-    """The converter of flag text through ``parse``: a DomainError for malformed
-    text, and TooLarge for a decimal exponent (before 10 is raised to it), or a
-    numerator or denominator, past the interpreter's int-to-str digit limit."""
+    """The converter of flag text through ``parse``: a DomainError for malformed text."""
 
     def convert(text: str, args):
-        limit = sys.get_int_max_str_digits()  # 0: no limit
         try:
-            if limit and any(abs(int(e)) > limit for e in re.findall(_EXPONENT, text, re.I)):
-                raise TooLarge(f"{what} {text!r} has an exponent above {limit}, the "
-                               "int-to-str digit limit")
-            value = parse(text.strip())
+            return parse(text.strip())
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
-        coeff = getattr(value, "coeff", value)  # a scalar's rational part
-        term = max(abs(coeff.numerator), coeff.denominator)
-        if limit and term.bit_length() > 3.32 * limit and term >= 10**limit:  # log2(10) > 3.32
-            raise TooLarge(f"{what} {text!r} has a numerator or denominator longer "
-                           f"than {limit} digits")
-        return value
 
     return convert
 
@@ -205,7 +186,7 @@ def _choice(default, **options) -> Kind:
 INT = Kind(type=int, required=True)
 NAME = Kind(required=True)
 SCALAR = Kind(_exact(_scalar, "exact scalar"), required=True)
-FRACTION = Kind(_exact(Fraction, "rational"), required=True)
+FRACTION = Kind(_exact(_fraction, "rational"), required=True)
 SIGNATURE = Kind(lambda text, args: parse_signature(text), required=True)
 NU = Kind(lambda text, args: _parse_nu(text, args.q), required=True)
 JL_CLASS = Kind(lambda text, args: _parse_jl_class(text), required=True)

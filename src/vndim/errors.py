@@ -100,8 +100,9 @@ class TooLarge(DomainError):
     * tables.TABLE_ROW_GUARD = 10 000: the most rows a hecke, padic or jl table walks;
     * tables.TABLE_DIGIT_GUARD = 2 * 10**6: about the most digits of a jl table;
     * the interpreter's int-to-str digit limit (4300 by default): the most digits
-      of an integer in JSON output, or of the numerator or denominator of a CLI
-      rational or scalar, and the largest decimal exponent such a flag carries.
+      of an integer in JSON output, or of the numerator or denominator of any
+      rational read from text (a CLI flag or a str passed to the library), and the
+      largest decimal exponent such text carries.
     """
 
 

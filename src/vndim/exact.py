@@ -11,16 +11,36 @@ keeping the exponent in {-1, 0, 1} keeps comparison decidable (like terms
 compare by coefficient; unlike terms are refused rather than approximated).
 """
 
-from __future__ import annotations
-
 import functools
+import re
+import sys
 from fractions import Fraction
 
-from .errors import ExponentOverflow, IncomparableExponents
+from .errors import ExponentOverflow, IncomparableExponents, TooLarge
 
 #: Half the most decimal digits that str() converts in one piece: 600 digits
 #: stay under the lowest int-to-str limit Python accepts (640; 4300 by default).
 _CHUNK_DIGITS = 300
+
+#: A decimal exponent as Fraction reads it (compiled on first use, not at import).
+_EXPONENT = r"e([-+]?\d+(?:_\d+)*)"
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), text read as int() reads it, under the int-to-str digit limit:
+    TooLarge for a decimal exponent past the limit (before 10 is raised to it), then for a
+    longer numerator or denominator.  inf or "1/0" is a ValueError, as nan is."""
+    limit = sys.get_int_max_str_digits() if isinstance(value, str) else 0  # 0: no limit
+    if limit and any(abs(int(e)) > limit for e in re.findall(_EXPONENT, value, re.I)):
+        raise TooLarge(f"{value!r} has an exponent above {limit}, the int-to-str digit limit")
+    try:
+        r = Fraction(value)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{value!r} is not a finite rational") from None
+    term = max(abs(r.numerator), r.denominator)
+    if limit and term.bit_length() > 3.32 * limit and term >= 10**limit:  # log2(10) > 3.32
+        raise TooLarge(f"{value!r} has a numerator or denominator longer than {limit} digits")
+    return r
 
 
 def int_text(n: int) -> str:
@@ -40,16 +60,17 @@ def int_text(n: int) -> str:
 class PiRational:
     """An exact value coeff * pi^pi_exp, canonical: coeff == 0 forces pi_exp == 0.
 
-    ``coeff`` is always a plain ``Fraction``: a plain ``Fraction`` is stored as
-    given, not copied (it is immutable); anything else, a subclass included, is
-    converted by ``Fraction()``.
+    ``coeff`` is always a plain ``Fraction``: a plain ``Fraction`` is stored as given,
+    not copied (it is immutable); anything else, a subclass included, is converted by
+    ``Fraction()``, text under the int-to-str digit limit (TooLarge past it), and a
+    value that is not a finite rational, inf or "1/0", is a ValueError.
     """
 
     __slots__ = ("coeff", "pi_exp")
 
     def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
         if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
+            coeff = _fraction(coeff)
         if pi_exp != 0 and not coeff:
             pi_exp = 0
         if pi_exp not in (-1, 0, 1):
@@ -194,17 +215,19 @@ def parse_pi_rational(text: str) -> PiRational:
         raise ValueError("empty scalar")
     sign = 1
     if s.startswith("-"):
-        sign = -1
-        s = s[1:]
+        sign, s = -1, s[1:]
+        if s.startswith(("-", "+")):  # one sign only, as Fraction reads it
+            raise ValueError(f"cannot parse scalar {text!r}")
     if s == "pi":
         return PiRational(sign, 1)
     if s.endswith("*pi"):
-        return PiRational(sign * Fraction(s[:-3]), 1)
+        return PiRational(sign * _fraction(s[:-3]), 1)
     if s.endswith("/pi"):
-        return PiRational(sign * Fraction(s[:-3]), -1)
+        return PiRational(sign * _fraction(s[:-3]), -1)
     if s.endswith("*pi)"):
         head, _, tail = s.partition("/(")
-        if not tail.endswith("*pi)"):
+        den = int(tail[:-4]) if tail.endswith("*pi)") else 0
+        if not den:
             raise ValueError(f"cannot parse scalar {text!r}")
-        return PiRational(Fraction(sign * int(head), int(tail[:-4])), -1)
-    return PiRational(sign * Fraction(s), 0)
+        return PiRational(Fraction(sign * int(head), den), -1)
+    return PiRational(sign * _fraction(s), 0)

@@ -7,11 +7,10 @@ bookkeeping is the Nielsen-Schreier formula: an index-e subgroup of the free
 group on n generators is free on 1 + e(n-1) generators.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import NonPositive, NotFiniteIndex, ZeroSize
+from .exact import _fraction
 from .finite_field import _check_int
 
 
@@ -35,7 +34,7 @@ def jones_index(dim_sub: Fraction, dim_ambient: Fraction) -> Fraction:
     algebra (the larger number), ``dim_ambient`` over the larger algebra; the
     index is their ratio.
     """
-    dim_sub, dim_ambient = Fraction(dim_sub), Fraction(dim_ambient)
+    dim_sub, dim_ambient = _fraction(dim_sub), _fraction(dim_ambient)
     if dim_sub <= 0 or dim_ambient <= 0:
         raise NonPositive(
             f"module dimensions must be > 0, got {dim_sub} and {dim_ambient}"

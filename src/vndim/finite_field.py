@@ -22,8 +22,6 @@ can cross-validate:
 Standing hypothesis throughout: q is a power of an odd prime.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from itertools import product

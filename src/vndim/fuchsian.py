@@ -19,8 +19,6 @@ k are off by one (m = k - 1).  In PSL(2,R) only odd m occurs (-I must act
 trivially); a lattice in SL(2,R) not containing -I admits every m >= 1.
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 from fractions import Fraction

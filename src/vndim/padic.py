@@ -28,8 +28,6 @@ A p that must be prime goes through finite_field._check_prime, the one check of 
 that PrimePower shares: TooLarge past PRIME_BITS_GUARD bits, before it is tested.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math
@@ -47,6 +45,7 @@ from .errors import (
     OddRamifiedConductor,
     TooLarge,
 )
+from .exact import _fraction
 from .finite_field import _Sealed, _check_int, _check_prime, as_prime_power
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
@@ -77,7 +76,7 @@ def padic_valuation(r: Fraction, p: int):
 def _valuation(r: Fraction, p: int):
     """padic_valuation with p already known to be prime."""
     if not isinstance(r, (int, Fraction)):  # an int or a Fraction has its terms already
-        r = Fraction(r)
+        r = _fraction(r)
     num, den = r.as_integer_ratio()  # % and // strip p from a negative num exactly
     if not num:
         return INFINITE_VALUATION
@@ -115,13 +114,13 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity.
 
     Since |x|_p = p^(-v(x)) falls as v(x) rises, this compares valuations:
-    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.  Ints and Fractions are
-    added as they are; anything else is converted by Fraction() first, so that
-    a str is parsed, not concatenated, and a float is added without rounding.
+    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.  Ints and Fractions are added as
+    they are; anything else is converted first, as PiRational converts it, so that a
+    str is parsed under the digit limit, not concatenated, and a float adds unrounded.
     """
     _check_prime(p, NotPrime)
-    r = r if isinstance(r, (int, Fraction)) else Fraction(r)
-    s = s if isinstance(s, (int, Fraction)) else Fraction(s)
+    r = r if isinstance(r, (int, Fraction)) else _fraction(r)
+    s = s if isinstance(s, (int, Fraction)) else _fraction(s)
     return _valuation(r + s, p) >= min(_valuation(r, p), _valuation(s, p))
 
 

@@ -6,8 +6,6 @@ formulas.  Rendering is deterministic (fixed row order, LF endings) so table
 output is byte-identical across runs.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

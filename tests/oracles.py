@@ -110,3 +110,23 @@ def coset_signature(n: int, member) -> tuple:
                 i = t_action[i]
     g = 1 + Fraction(mu, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(h, 2)
     return mu, e2, e3, h, g
+
+
+def free_product_histogram(max_length: int) -> dict:
+    """{length: count} of the reduced words in the free product of two groups of order
+    2, generated by w and w': every string over {w, w'} of length <= max_length, freely
+    reduced by cancelling equal neighbours (w w = w' w' = 1), counted once per word."""
+    seen = set()
+    for k in range(max_length + 1):
+        for letters in product(("w", "w'"), repeat=k):
+            stack = []
+            for letter in letters:
+                if stack and stack[-1] == letter:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+            seen.add(tuple(stack))
+    hist = {}
+    for word in seen:
+        hist[len(word)] = hist.get(len(word), 0) + 1
+    return hist

@@ -52,7 +52,7 @@ from vndim.padic import (
     weyl_partial_sum,
 )
 
-from oracles import cms_steinberg_check
+from oracles import cms_steinberg_check, free_product_histogram
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -222,32 +222,9 @@ def test_criterion_07_weyl_series():
         for L in range(0, 13):
             expected = {0: 1, **{k: 2 for k in range(1, L + 1)}}
             assert weyl_length_histogram(L) == expected
-            assert weyl_length_histogram(L) == _free_product_histogram(L)
+            assert weyl_length_histogram(L) == free_product_histogram(L)
 
     _criterion(7, "Weyl length series", checks)
-
-
-def _free_product_histogram(max_length):
-    # independent oracle: freely reduce every {w, w'}-string of length <= L
-    from itertools import product as iproduct
-
-    def reduce_word(word):
-        stack = []
-        for letter in word:
-            if stack and stack[-1] == letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return tuple(stack)
-
-    seen = set()
-    for k in range(max_length + 1):
-        seen.update(reduce_word(w) for w in iproduct("ab", repeat=k))
-    hist = {}
-    for word in seen:
-        if len(word) <= max_length:
-            hist[len(word)] = hist.get(len(word), 0) + 1
-    return hist
 
 
 def test_criterion_08_padic_formal_dimensions():

@@ -14,7 +14,8 @@ import pytest
 import vndim
 from vndim.cli import main, render_result
 from vndim.errors import NotPrime, NotPrimePower, TooLarge
-from vndim.exact import PiRational, int_text
+from vndim.exact import PI, PiRational, int_text, parse_pi_rational
+from vndim.factors import jones_index
 from vndim.finite_field import PRIME_BITS_GUARD, PrimePower, is_prime
 from vndim.fuchsian import GroupMode, formal_dimension_psl
 from vndim.padic import (
@@ -25,8 +26,10 @@ from vndim.padic import (
     PadicRep,
     haar_volumes,
     jl_formal_dim,
+    padic_abs,
     padic_valuation,
     quadratic_extension_count,
+    ultrametric_check,
     vn_dimension_padic,
     weyl_partial_sum,
 )
@@ -91,6 +94,44 @@ def test_library_calls_take_rationals_of_any_size():
     # past the CLI's bound of 4300 digits, which is the interpreter's default limit
     assert padic_valuation(Fraction("1e5000"), 5) == 5000
     assert PiRational(Fraction(1, 10**60000), 1) * 10**60000 == PiRational(1, 1)
+
+
+#: Every library call that reads a caller's rational, with that rational as x.
+TEXT_READERS = {
+    "PiRational": PiRational,
+    "PI * x": lambda x: PI * x,
+    "PI / x": lambda x: PI / x,
+    "parse_pi_rational": parse_pi_rational,
+    "padic_valuation": lambda x: padic_valuation(x, 5),
+    "padic_abs": lambda x: padic_abs(x, 5),
+    "ultrametric_check": lambda x: ultrametric_check(x, 1, 5),
+    "jones_index": lambda x: jones_index(x, 1),
+}
+
+
+@pytest.mark.parametrize("text, ending", [
+    ("1e4400", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
+    ("1e10000000", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
+    ("3e-4300", f"has a numerator or denominator longer than {LIMIT} digits"),
+], ids=["1e4400", "1e10000000", "3e-4300"])
+@pytest.mark.parametrize("call", TEXT_READERS.values(), ids=TEXT_READERS)
+def test_a_library_call_reads_text_under_the_digit_limit(call, text, ending):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as raised:
+        call(text)
+    assert time.perf_counter() - start < 0.1
+    assert str(raised.value) == f"{text!r} {ending}"
+
+
+def test_no_digit_limit_means_no_bound_on_library_text():
+    sys.set_int_max_str_digits(0)
+    try:
+        values = [call("1e4400") for call in TEXT_READERS.values()]
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
+    big = Fraction(10**4400)
+    assert values == [PiRational(big), PiRational(big, 1), PiRational(1 / big, 1),
+                      PiRational(big), 4400, Fraction(1, 5**4400), True, big]
 
 
 def test_no_digit_limit_means_no_scalar_bound(capsys):

@@ -468,6 +468,11 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     (["table", "hecke:x"], "error: UnknownTable: malformed table name 'hecke:x'\n"),
     (["exact", "mul", "--a", "2*pi)", "--b", "1"],
      "error: DomainError: cannot parse exact scalar '2*pi)': cannot parse scalar '2*pi)'\n"),
+    (["exact", "mul", "--a=--7/2", "--b", "1"],
+     "error: DomainError: cannot parse exact scalar '--7/2': cannot parse scalar '--7/2'\n"),
+    (["exact", "compare", "--a", "1/(0*pi)", "--b", "1"],
+     "error: DomainError: cannot parse exact scalar '1/(0*pi)': "
+     "cannot parse scalar '1/(0*pi)'\n"),
 ])
 def test_domain_error_bytes(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (2, "", expected)

@@ -277,6 +277,13 @@ def test_parse_rejects_garbage():
             parse_pi_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["--7/2", "--1/3*pi", "--5/(4*pi)", "-+7/2", "-+1/3*pi",
+                                  "1/(0*pi)", "-3/(0·π)"])
+def test_parse_refuses_a_second_sign_and_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=f"^cannot parse scalar {re.escape(repr(text))}$"):
+        parse_pi_rational(text)
+
+
 def _read_digits(text: str) -> int:
     """int(text) for any length, read in chunks that stay under the digit limit."""
     sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)

@@ -53,7 +53,7 @@ from vndim.padic import (
 )
 from vndim.padic import _abs_from_valuation
 
-from oracles import cms_steinberg_check
+from oracles import cms_steinberg_check, free_product_histogram
 
 ALL_NORMS = tuple(HaarNormalization)
 
@@ -182,31 +182,6 @@ def test_quadratic_extension_count():
 # -- Weyl words -------------------------------------------------------------------
 
 
-def brute_force_weyl_histogram(max_length):
-    """Oracle: freely reduce every string over {w, w'} of length <= max_length."""
-
-    def reduce_word(word):
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(word) - 1):
-                if word[i] == word[i + 1]:
-                    word = word[:i] + word[i + 2:]
-                    changed = True
-                    break
-        return word
-
-    seen = set()
-    for k in range(max_length + 1):
-        for letters in product(("w", "w'"), repeat=k):
-            seen.add(reduce_word(letters))
-    hist = {}
-    for word in seen:
-        if len(word) <= max_length:
-            hist[len(word)] = hist.get(len(word), 0) + 1
-    return hist
-
-
 def test_weyl_enumerate_small():
     assert [str(w) for w in weyl_enumerate(0)] == ["1"]
     words = weyl_enumerate(3)
@@ -221,7 +196,7 @@ def test_weyl_histogram_two_per_length():
 
 def test_weyl_enumeration_matches_free_product_oracle():
     for max_length in range(0, 13):
-        assert weyl_length_histogram(max_length) == brute_force_weyl_histogram(max_length)
+        assert weyl_length_histogram(max_length) == free_product_histogram(max_length)
 
 
 def test_reduced_word_invariants():

@@ -10,10 +10,12 @@ included, is built only through its constructor's checks.
 import copy
 import copyreg
 import inspect
+import math
 import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from vndim.errors import (
     ZeroSize,
 )
 from vndim.exact import PiRational, parse_pi_rational
-from vndim.factors import free_group_index, matrix_coupling
+from vndim.factors import free_group_index, jones_index, matrix_coupling
 from vndim.finite_field import (
     EnumeratedOrders,
     FiniteRepDims,
@@ -77,8 +79,11 @@ from vndim.padic import (
     haar_volumes,
     ihara_lattice,
     lattice_covolume,
+    padic_abs,
+    padic_valuation,
     parse_jl_class,
     steinberg_formal_dim,
+    ultrametric_check,
     vn_dimension_padic,
     weyl_enumerate,
     weyl_partial_sum,
@@ -316,6 +321,32 @@ def test_a_text_parser_refuses_a_non_str_as_malformed_text(parse, error, message
     with pytest.raises(Exception) as raised:
         parse(value)
     assert (type(raised.value), str(raised.value)) == (error, message.format(value))
+
+
+#: Each library call that converts a caller's number to a Fraction, at that number x.
+RATIONAL_READERS = {
+    "PiRational": PiRational,
+    "padic_valuation": lambda x: padic_valuation(x, 5),
+    "padic_abs": lambda x: padic_abs(x, 5),
+    "ultrametric_check": lambda x: ultrametric_check(1, x, 5),
+    "jones_index": lambda x: jones_index(x, 1),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, Decimal("Infinity"), "1/0"], ids=repr)
+@pytest.mark.parametrize("call", RATIONAL_READERS.values(), ids=RATIONAL_READERS)
+def test_a_number_that_is_not_a_finite_rational_is_a_value_error(call, value):
+    with pytest.raises(Exception) as raised:
+        call(value)
+    assert (type(raised.value), str(raised.value)) == (
+        ValueError, f"{value!r} is not a finite rational")
+
+
+@pytest.mark.parametrize("value", [None, (), []], ids=repr)
+@pytest.mark.parametrize("call", RATIONAL_READERS.values(), ids=RATIONAL_READERS)
+def test_a_non_number_keeps_the_type_error_of_fraction(call, value):
+    with pytest.raises(TypeError):
+        call(value)
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, None, float("nan"), 10**40, -1, 0, Fraction(3)],
