@@ -57,7 +57,7 @@ def _exact(parse, what: str):
     def convert(text: str, args):
         try:
             return parse(text.strip())
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
 
     return convert
@@ -74,13 +74,6 @@ def _parse_nu(text: str, q) -> int:
         raise DomainError(
             f"--nu must be an integer index, 'trivial', or 'sign'; got {text!r}"
         ) from None
-
-
-def _parse_jl_class(text: str) -> padic.JLClass:
-    try:
-        return parse_jl_class(text)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
 
 
 # -- output rendering ----------------------------------------------------------
@@ -189,7 +182,7 @@ SCALAR = Kind(_exact(_scalar, "exact scalar"), required=True)
 FRACTION = Kind(_exact(_fraction, "rational"), required=True)
 SIGNATURE = Kind(lambda text, args: parse_signature(text), required=True)
 NU = Kind(lambda text, args: _parse_nu(text, args.q), required=True)
-JL_CLASS = Kind(lambda text, args: _parse_jl_class(text), required=True)
+JL_CLASS = Kind(_exact(parse_jl_class, "class"), required=True)
 MODE = _choice(GroupMode.PSL2R, help="psl: odd parameters only (default); sl: any parameter >= 1")
 NORM = _choice(HaarNormalization.K_ONE,
                help="Haar normalization: vol(I.Z/Z)=1, vol(K.Z/Z)=1 (default), q+1, or (q-1)/2")
@@ -227,7 +220,7 @@ def _catalog(name: str) -> dict:
 
 def _valuation(r: Fraction, p: int) -> dict:
     v = padic.padic_valuation(r, p)  # tests p once for both entries
-    return {"valuation": v, "abs": padic.abs_from_valuation(v, p)}
+    return {"valuation": v, "abs": padic._abs_from_valuation(v, p)}
 
 
 def _lattice(q: int, n: int) -> dict:

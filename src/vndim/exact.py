@@ -158,7 +158,7 @@ class PiRational:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiRational":
-        """Inverse of to_json_dict; each field must be a JSON integer.
+        """Inverse of to_json_dict; each field must be a JSON integer, den nonzero.
 
         A float, string or boolean is rejected with TypeError rather than
         coerced, since int() would silently truncate 1.5 to 1.
@@ -167,6 +167,8 @@ class PiRational:
         for value in (num, den, pi_exp):
             if type(value) is not int:
                 raise TypeError(f"num, den and pi_exp must be integers, got {value!r}")
+        if not den:
+            raise ValueError("den must be nonzero, got 0")
         return cls(Fraction(num, den), pi_exp)
 
     def render(self, ascii_pi: bool = False) -> str:
@@ -207,27 +209,18 @@ def parse_pi_rational(text: str) -> PiRational:
 
     Accepts both the unicode and ASCII renderings ("1/3·π", "1/3*pi",
     "5/(4*pi)", "2*pi", "pi", "-pi", "7/2", "4"), with optional whitespace.
+    Every coefficient is read as Fraction reads text, under the digit limit, and
+    a/(b*pi) as a over pi divided by b, an unsigned nonzero integer.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"cannot parse scalar {text!r}")
-    s = text.strip().replace("π", "pi").replace("·", "*").replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    sign = 1
-    if s.startswith("-"):
-        sign, s = -1, s[1:]
-        if s.startswith(("-", "+")):  # one sign only, as Fraction reads it
-            raise ValueError(f"cannot parse scalar {text!r}")
-    if s == "pi":
-        return PiRational(sign, 1)
-    if s.endswith("*pi"):
-        return PiRational(sign * _fraction(s[:-3]), 1)
-    if s.endswith("/pi"):
-        return PiRational(sign * _fraction(s[:-3]), -1)
-    if s.endswith("*pi)"):
-        head, _, tail = s.partition("/(")
-        den = int(tail[:-4]) if tail.endswith("*pi)") else 0
-        if not den:
-            raise ValueError(f"cannot parse scalar {text!r}")
-        return PiRational(Fraction(sign * int(head), den), -1)
-    return PiRational(sign * _fraction(s), 0)
+    s = (text.strip().replace("π", "pi").replace("·", "*").replace(" ", "")
+         if isinstance(text, str) else "")  # "" is refused below as malformed
+    try:
+        scale = 1
+        if s.endswith("*pi)"):  # a/(b*pi) is a/pi times 1/b
+            s, _, den = s[:-4].partition("/(")
+            s, scale = s + "/pi", _fraction("1/" + den)
+        s = {"pi": "1*pi", "-pi": "-1*pi"}.get(s, s)
+        pi_exp = {"*pi": 1, "/pi": -1}.get(s[-3:], 0)
+        return PiRational(_fraction(s[:-3] if pi_exp else s) * scale, pi_exp)
+    except ValueError:  # TooLarge, a DomainError, passes
+        raise ValueError(f"cannot parse scalar {text!r}") from None

@@ -213,7 +213,7 @@ def minimal_discrete_series_weight(
     """
     bound = 2 * ((1 - sig.genus) // sig.area_factor()) + 3
     for m in range(1, bound + 1, 2):
-        if discrete_series_multiplicity(sig, m, GroupMode.PSL2R) >= 1:
+        if discrete_series_multiplicity(sig, m, mode) >= 1:
             return m
     raise AssertionError(f"no discrete series for {sig} with parameter <= {bound}")
 

@@ -99,7 +99,11 @@ def padic_abs(r: Fraction, p: int) -> Fraction:
 def abs_from_valuation(v, p: int) -> Fraction:
     """p^(-v) as an exact rational, and 0 for v = +inf: |r|_p from v = v(r).
     Memoized with padic_abs by (v, p) and their types, keeping at most 256 results:
-    each one a call returned, from padic_abs no larger than a p-power dividing r."""
+    each one a call returned, from padic_abs no larger than a p-power dividing r.
+    NotPrime unless p is prime; TooLarge when p^|v| has more than RESULT_DIGIT_GUARD digits."""
+    _check_prime(p, NotPrime)
+    if v != INFINITE_VALUATION:
+        _check_digits(p, abs(v))
     return _abs_from_valuation(v, p)
 
 
@@ -177,7 +181,10 @@ class ReducedWeylWord(_Sealed, namedtuple("ReducedWeylWord", "letters")):
     def __new__(cls, letters=()):
         # Checked here, for pickle too.  A reduced word alternates from its first letter:
         # up to the guard's length one C tuple compare accepts it; others are scanned.
-        letters = tuple(letters)
+        try:
+            letters = tuple(letters)
+        except TypeError:
+            raise ValueError(f"letters must be an iterable, got {letters!r}") from None
         first = letters[:1] == _PRIMED  # 1 when the word opens with w'
         if letters != _ALTERNATING[first:first + len(letters)]:
             for letter in letters:

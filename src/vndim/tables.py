@@ -123,7 +123,7 @@ TABLE_NAMES = tuple(head + "".join(f":<{param}>" for param in params)
 def build_table(name: str) -> Table:
     """Build the table that ``name`` names (see TABLES) from its integer parameters;
     TooLarge when it would walk more than TABLE_ROW_GUARD rows."""
-    head, _, params_text = name.partition(":")
+    head, _, params_text = name.partition(":") if isinstance(name, str) else ("", "", "")
     params = params_text.split(":") if params_text else []
     if head not in TABLES or len(params) != len(TABLES[head][1]):
         raise UnknownTable(f"unknown table {name!r}; valid names: {', '.join(TABLE_NAMES)}")

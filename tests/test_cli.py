@@ -473,6 +473,12 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     (["exact", "compare", "--a", "1/(0*pi)", "--b", "1"],
      "error: DomainError: cannot parse exact scalar '1/(0*pi)': "
      "cannot parse scalar '1/(0*pi)'\n"),
+    (["padic", "jl", "--p", "3", "--cls", "bogus"],
+     "error: DomainError: cannot parse class 'bogus': "
+     "cannot parse class 'bogus'; expected special, unram:j=<n>, or ram:j=<n>\n"),
+    (["exact", "mul", "--a", '{"num": 1, "den": 0, "pi_exp": 0}', "--b", "1"],
+     "error: DomainError: cannot parse exact scalar '{\"num\": 1, \"den\": 0, \"pi_exp\": 0}': "
+     "den must be nonzero, got 0\n"),
 ])
 def test_domain_error_bytes(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (2, "", expected)

@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vndim.errors import ExponentOverflow, IncomparableExponents
+from vndim.errors import ExponentOverflow, IncomparableExponents, TooLarge
 from vndim.exact import PI, PiRational, int_text, parse_pi_rational
 
 
@@ -259,6 +261,11 @@ def test_render_and_parse_round_trip(value, unicode_text, ascii_text):
     assert parse_pi_rational(ascii_text) == value
 
 
+def test_json_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="^den must be nonzero, got 0$"):
+        PiRational.from_json_dict({"num": 1, "den": 0, "pi_exp": 0})
+
+
 def test_json_round_trip():
     values = [
         PiRational(Fraction(5, 2)),
@@ -278,10 +285,37 @@ def test_parse_rejects_garbage():
 
 
 @pytest.mark.parametrize("text", ["--7/2", "--1/3*pi", "--5/(4*pi)", "-+7/2", "-+1/3*pi",
-                                  "1/(0*pi)", "-3/(0·π)"])
+                                  "1/(0*pi)", "-3/(0·π)", "1/(-4*pi)", "-1/(-4*pi)", "1/(+4*pi)"])
 def test_parse_refuses_a_second_sign_and_a_zero_denominator(text):
     with pytest.raises(ValueError, match=f"^cannot parse scalar {re.escape(repr(text))}$"):
         parse_pi_rational(text)
+
+
+@pytest.mark.parametrize("text", ["", " ", "+pi", "*pi", "/(4*pi)", "1/(*pi)", "1/(4.5*pi)",
+                                  "1/(2*pi)*pi)", "pi/(2*pi)"])
+def test_parse_refuses_malformed_text_with_one_message(text):
+    with pytest.raises(ValueError, match=f"^cannot parse scalar {re.escape(repr(text))}$"):
+        parse_pi_rational(text)
+
+
+def test_a_over_b_pi_reads_a_as_every_other_coefficient_is_read():
+    assert parse_pi_rational("1.5/(2*pi)") == PiRational(Fraction(3, 4), -1)
+    assert parse_pi_rational("1/3/(2·π)") == PiRational(Fraction(1, 6), -1)
+    with pytest.raises(TooLarge, match="^'1e4400' has an exponent above "):
+        parse_pi_rational("1e4400/(2*pi)")
+
+
+@given(st.fractions(), st.sampled_from([-1, 0, 1]))
+def test_every_scalar_parses_back_from_both_renderings(coeff, pi_exp):
+    value = PiRational(coeff, pi_exp)
+    assert parse_pi_rational(value.render()) == value
+    assert parse_pi_rational(value.render(ascii_pi=True)) == value
+
+
+@given(st.one_of(st.integers(), st.decimals(-10**9, 10**9, places=6)), st.integers(min_value=1),
+       st.sampled_from(["*pi", "·π", " * pi"]))
+def test_a_over_b_pi_is_a_over_b_over_pi(a, b, times_pi):
+    assert parse_pi_rational(f"{a}/({b}{times_pi})") == PiRational(Fraction(a) / b, -1)
 
 
 def _read_digits(text: str) -> int:

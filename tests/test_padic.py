@@ -1,6 +1,7 @@
 import copyreg
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -703,6 +704,20 @@ def test_memo_keys_are_typed(v):
     assert abs_from_valuation(1, 5) == Fraction(1, 5)
     assert outcome(lambda: abs_from_valuation(v, 5)) == cold
     assert outcome(lambda: abs_from_valuation(2, 5)) == (Fraction, Fraction(1, 25))
+
+
+@pytest.mark.parametrize("v, p, error, message", [
+    (10**40, 5, TooLarge, "result needs a power of "),
+    (-(10**40), 5, TooLarge, "result needs a power of "),
+    (2, 0, NotPrime, "0 is not prime"),
+    (2, 4, NotPrime, "4 is not prime"),
+], ids=["huge-v", "huge-negative-v", "p=0", "p=4"])
+def test_abs_from_valuation_refuses_a_bad_p_and_a_huge_v_at_once(v, p, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error) as raised:
+        abs_from_valuation(v, p)
+    assert time.perf_counter() - start < 0.1
+    assert type(raised.value) is error and str(raised.value).startswith(message)
 
 
 def test_memo_size_is_bounded():

@@ -61,6 +61,7 @@ from vndim.fuchsian import (
     cusp_form_dim,
     discrete_series_multiplicity,
     formal_dimension_psl,
+    minimal_discrete_series_weight,
     parse_signature,
     two_lattice_vn_dimension,
     vn_dimension,
@@ -90,7 +91,7 @@ from vndim.padic import (
     weyl_texts,
     weyl_words,
 )
-from vndim.tables import Table, build_table, hecke_table
+from vndim.tables import TABLE_NAMES, Table, build_table, hecke_table
 
 PADIC_COLUMNS = ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal")
 
@@ -311,6 +312,7 @@ TEXT_PARSERS = [
     (parse_pi_rational, ValueError, "cannot parse scalar {!r}"),
     (parse_jl_class, ValueError,
      "cannot parse class {!r}; expected special, unram:j=<n>, or ram:j=<n>"),
+    (build_table, UnknownTable, "unknown table {!r}; valid names: " + ", ".join(TABLE_NAMES)),
 ]
 
 
@@ -358,6 +360,15 @@ def test_elliptic_orders_that_are_not_iterable_are_an_invalid_signature(value):
         InvalidSignature, f"elliptic orders must be an iterable of ints, got {value!r}")
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, True, None, float("nan"), 10**40, -1, 0, Fraction(3)],
+                         ids=repr)
+def test_letters_that_are_not_iterable_are_not_a_word(value):
+    with pytest.raises(Exception) as raised:
+        ReducedWeylWord(value)
+    assert (type(raised.value), str(raised.value)) == (
+        ValueError, f"letters must be an iterable, got {value!r}")
+
+
 #: (id, call of a value x at an enum parameter, the parameter's name, a member): every
 #: dispatch on HaarNormalization, PadicRep or GroupMode, with the other arguments valid.
 #: m = 2 is even: PSL2R refuses it, and a non-member taken for SL2R would answer.
@@ -373,6 +384,8 @@ ENUM_PARAMETERS = [
     ("formal_dimension_psl", lambda x: formal_dimension_psl(2, x), "mode", GroupMode.PSL2R),
     ("vn_dimension", lambda x: vn_dimension(_SIG, 2, x), "mode", GroupMode.PSL2R),
     ("discrete_series_multiplicity", lambda x: discrete_series_multiplicity(_SIG, 2, x), "mode",
+     GroupMode.PSL2R),
+    ("minimal_discrete_series_weight", lambda x: minimal_discrete_series_weight(_SIG, x), "mode",
      GroupMode.PSL2R),
 ]
 
