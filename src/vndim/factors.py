@@ -20,10 +20,8 @@ def matrix_coupling(n: int, k: int) -> Fraction:
     Growing k grows the commutant, and the coupling constant grows with it;
     k = n is the perfectly coupled standard form, with constant 1.
     """
-    _check_int(n, None, ZeroSize, "n")
-    _check_int(k, None, ZeroSize, "k")
-    if n < 1 or k < 1:
-        raise ZeroSize(f"matrix coupling needs n, k >= 1, got n={n}, k={k}")
+    _check_int(n, 1, ZeroSize, "n")
+    _check_int(k, 1, ZeroSize, "k")
     return Fraction(k, n)
 
 
@@ -48,12 +46,8 @@ def free_group_index(ambient_rank: int, sub_rank: int) -> int:
     Raises NotFiniteIndex when no such integer e >= 1 exists, i.e. when
     (sub_rank - 1) is not a positive multiple of (ambient_rank - 1).
     """
-    _check_int(ambient_rank, None, NotFiniteIndex, "ambient rank")
-    _check_int(sub_rank, None, NotFiniteIndex, "subgroup rank")
-    if ambient_rank < 2 or sub_rank < 2:
-        raise NotFiniteIndex(
-            f"free-group ranks must be >= 2, got {ambient_rank} and {sub_rank}"
-        )
+    _check_int(ambient_rank, 2, NotFiniteIndex, "ambient rank")
+    _check_int(sub_rank, 2, NotFiniteIndex, "subgroup rank")
     e, rem = divmod(sub_rank - 1, ambient_rank - 1)
     if rem != 0 or e < 1:
         raise NotFiniteIndex(

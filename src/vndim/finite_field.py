@@ -233,8 +233,7 @@ class PrimePower(_Sealed, namedtuple("PrimePower", "p f")):
         prime power exactly when r is prime.  Such a q is refused with
         TooLarge past PRIME_BITS_GUARD bits.
         """
-        if type(q) is not int:
-            raise NotPrimePower(f"{q!r} is not an integer prime power")
+        _check_int(q, None, NotPrimePower, "q")
         if q % 2 == 0:
             raise EvenResidue(f"residue-field order must be odd, got {q}")
         if q < 3:

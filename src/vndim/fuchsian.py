@@ -61,13 +61,10 @@ class FuchsianSignature(_Sealed, namedtuple("FuchsianSignature", "genus elliptic
                 f"elliptic orders must be an iterable of ints, got {elliptic_orders!r}"
             ) from None
         self = tuple.__new__(cls, (genus, orders, cusps))
-        if type(genus) is not int or type(cusps) is not int:
-            raise InvalidSignature(f"genus and cusp count must be ints, got {genus!r}, {cusps!r}")
         _check_int(genus, 0, InvalidSignature, "genus")
         _check_int(cusps, 0, InvalidSignature, "cusp count")
-        for m in self.elliptic_orders:
-            if type(m) is not int or m < 2:
-                raise InvalidSignature(f"elliptic order must be an integer >= 2, got {m}")
+        for m in orders:
+            _check_int(m, 2, InvalidSignature, "elliptic order")
         # Each 1 - 1/m >= 1/2: the exact sum decides only when 2g - 2 + h + l/2 <= 0.
         if 4 * genus - 4 + 2 * cusps + len(self.elliptic_orders) <= 0:
             area = self.area_factor()

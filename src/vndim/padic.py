@@ -45,7 +45,7 @@ from .errors import (
     OddRamifiedConductor,
     TooLarge,
 )
-from .exact import _fraction
+from .exact import _fraction, int_text
 from .finite_field import _Sealed, _check_int, _check_prime, as_prime_power
 
 #: Valuation of 0: ordered above every integer, absorbs addition.
@@ -61,9 +61,10 @@ RESULT_DIGIT_GUARD = 45_000
 def _check_digits(base: int, exponent: int) -> None:
     """TooLarge when base^exponent (base > 1, no power of 10) has more than
     RESULT_DIGIT_GUARD digits."""
-    digits = int(exponent * math.log10(base)) + 1
+    num, den = math.log10(base).as_integer_ratio()  # int arithmetic: no float overflow
+    digits = int(exponent) * num // den + 1  # int(): abs_from_valuation may pass a float v
     if digits > RESULT_DIGIT_GUARD:
-        raise TooLarge(f"result needs a power of {digits} digits, more than the "
+        raise TooLarge(f"result needs a power of {int_text(digits)} digits, more than the "
                        f"result-digit guard {RESULT_DIGIT_GUARD}")
 
 
@@ -395,17 +396,16 @@ class JLClass(_Sealed, namedtuple("JLClass", "tag conductor", defaults=(0,))):
     __slots__ = ()
 
     def __new__(cls, tag: JLTag, conductor: int = 0):  # checks, for a pickle that calls it alone
-        if not isinstance(tag, JLTag) or type(conductor) is not int:
-            raise ValueError(f"need a JLTag and an int conductor, got {tag!r}, {conductor!r}")
-        if tag is JLTag.GENERALIZED_SPECIAL:
-            if conductor:
-                raise ValueError("generalized special classes carry no conductor")
-        else:
-            _check_int(conductor, 1, ValueError, "conductor")
-            if tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
-                raise OddRamifiedConductor(
-                    f"ramified cuspidal classes need an even conductor, got {conductor}"
-                )
+        if not isinstance(tag, JLTag):
+            raise ValueError(f"tag must be a JLTag, got {tag!r}")
+        special = tag is JLTag.GENERALIZED_SPECIAL
+        _check_int(conductor, None if special else 1, ValueError, "conductor")
+        if special and conductor:
+            raise ValueError("generalized special classes carry no conductor")
+        if tag is JLTag.RAMIFIED_CUSPIDAL and conductor % 2 != 0:
+            raise OddRamifiedConductor(
+                f"ramified cuspidal classes need an even conductor, got {conductor}"
+            )
         return tuple.__new__(cls, (tag, conductor))
 
     def __str__(self) -> str:

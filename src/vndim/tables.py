@@ -8,8 +8,10 @@ output is byte-identical across runs.
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .errors import NoSuchLattice, TooLarge, UnknownTable
+from .exact import int_text
 from .finite_field import _check_int, as_prime_power
 from .fuchsian import FREE_CONGRUENCE_CHAIN, catalog, covolume, vn_dimension
 from .padic import (
@@ -37,9 +39,7 @@ TABLE_DIGIT_GUARD = 2 * 10**6
 
 def hecke_table(q_max: int) -> tuple:
     """Triangle-group lattices H_q (signature (0; 2, q; 1)) with their covolumes."""
-    _check_int(q_max, None, UnknownTable, "hecke table qmax")
-    if q_max < 3:
-        raise UnknownTable(f"hecke table needs qmax >= 3, got {q_max}")
+    _check_int(q_max, 3, UnknownTable, "hecke table qmax")
     rows = []
     for q in range(3, q_max + 1):
         sig = catalog(f"H{q}")
@@ -91,9 +91,10 @@ def padic_table(q: int, n_max: int) -> tuple:
 def jl_table(p: int, j_max: int) -> tuple:
     """Formal dimensions of discrete-series classes, Steinberg normalized to 1."""
     _check_jl_prime(p)
-    digits = math.log10(p) * (5 * j_max * j_max // 8)  # about, over every row
+    # about, over every row; exact rational arithmetic, so no float overflow for any j_max
+    digits = Fraction(math.log10(p)) * (5 * j_max * j_max // 8)
     if digits > TABLE_DIGIT_GUARD:
-        raise TooLarge(f"table of about {digits:.0f} digits exceeds table-digit guard "
+        raise TooLarge(f"table of about {int_text(round(digits))} digits exceeds table-digit guard "
                        f"{TABLE_DIGIT_GUARD}")
     rows = []
     for tag, conductors in ((JLTag.GENERALIZED_SPECIAL, (0,)),

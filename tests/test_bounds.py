@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import vndim
-from vndim.cli import main, render_result
+from vndim.cli import OPERATIONS, main, render_result
 from vndim.errors import NotPrime, NotPrimePower, TooLarge
 from vndim.exact import PI, PiRational, int_text, parse_pi_rational
 from vndim.factors import jones_index
@@ -24,6 +24,7 @@ from vndim.padic import (
     JLClass,
     JLTag,
     PadicRep,
+    abs_from_valuation,
     haar_volumes,
     jl_formal_dim,
     padic_abs,
@@ -33,7 +34,9 @@ from vndim.padic import (
     vn_dimension_padic,
     weyl_partial_sum,
 )
-from vndim.tables import TABLE_DIGIT_GUARD, TABLE_ROW_GUARD, build_table
+from vndim.tables import TABLE_DIGIT_GUARD, TABLE_ROW_GUARD, build_table, jl_table
+
+from test_cli import WELL_FORMED
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -170,6 +173,11 @@ def test_jl_result_past_the_guard_is_refused_and_the_largest_answers(capsys):
     assert_refused(capsys, "padic", "jl", "--p", "3", "--cls", "ram:j=1000000")
     with pytest.raises(TooLarge):
         jl_formal_dim(3, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 10**9))
+    # past any float: 3^(10^400 - 1) and 3^(5 * 10^399), counted without a float overflow
+    for cls, count in (("unram", "477121254719662"), ("ram", "238560627359831")):
+        err = assert_refused(capsys, "padic", "jl", "--p", "3", "--cls", f"{cls}:j=1{'0' * 400}")
+        assert re.fullmatch(rf"error: TooLarge: result needs a power of {count}\d{{385}} digits, "
+                            r"more than the result-digit guard 45000\n", err)
 
 
 def test_weyl_sum_past_the_guard_is_refused_and_the_largest_answers(capsys):
@@ -178,6 +186,24 @@ def test_weyl_sum_past_the_guard_is_refused_and_the_largest_answers(capsys):
     err = assert_refused(capsys, "padic", "weylsum", "--q", "343", "--max-length", str(L + 1))
     assert err.endswith(f"digits, more than the result-digit guard {RESULT_DIGIT_GUARD}\n")
     assert_refused(capsys, "padic", "weylsum", "--q", "3", "--max-length", "10000000")
+    err = assert_refused(capsys, "padic", "weylsum", "--q", "3", "--max-length", f"1{'0' * 400}")
+    assert re.fullmatch(r"error: TooLarge: result needs a power of 477121254719662\d{385} "
+                        r"digits, more than the result-digit guard 45000\n", err)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: abs_from_valuation(10**400, 5),
+    lambda: abs_from_valuation(-(10**400), 5),
+    lambda: weyl_partial_sum(3, 10**400),
+    lambda: jl_formal_dim(3, JLClass(JLTag.RAMIFIED_CUSPIDAL, 2 * 10**400)),
+    lambda: jl_table(3, 10**200),
+], ids=["abs_from_valuation", "abs_from_valuation-negative", "weyl_partial_sum",
+        "jl_formal_dim", "jl_table"])
+def test_a_power_past_any_float_is_refused_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"^(result needs a power|table) of (about )?[1-9]\d{399} "):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 # -- numbers given to the primality test ------------------------------------------------
@@ -231,6 +257,31 @@ def test_the_prime_guard_is_a_bit_length():
     # is_prime itself stays total
     assert is_prime(10**4299 + 1) is False
     assert quadratic_extension_count(2**2281 - 1) == 3  # a Mersenne prime under the guard
+
+
+# -- every integer flag of the registry ---------------------------------------------------
+
+
+def huge_int_flag_runs():
+    """Each integer flag (argparse type int) of each well-formed command in test_cli, with
+    its value set to each of 10^400, -10^400 and 10^4000, as the argv of a pytest.param."""
+    ops = {(op.group, op.verb): op for op in OPERATIONS}
+    for argv in WELL_FORMED:
+        op = ops.get(tuple(argv[:2]))  # None for a table name
+        for param in op.params if op else ():
+            if param.options.get("type") is int:
+                i = argv.index(param.flag) + 1
+                for label, value in (("10^400", 10**400), ("-10^400", -(10**400)),
+                                     ("10^4000", 10**4000)):
+                    yield pytest.param(argv[:i] + [int_text(value)] + argv[i + 1:],
+                                       id=f"{argv[0]} {argv[1]} {param.flag}={label}")
+
+
+@pytest.mark.parametrize("argv", huge_int_flag_runs())
+def test_a_huge_integer_flag_answers_or_is_refused_at_once(capsys, argv):
+    code, _, err, seconds = run_timed(capsys, *argv)
+    assert code in (0, 2) and "internal error" not in err, err
+    assert seconds < 0.5, seconds
 
 
 # -- table sizes ---------------------------------------------------------------------------

@@ -464,7 +464,7 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     (["fuchsian", "covolume", "--sig", "x;-;3"],
      "error: InvalidSignature: malformed signature 'x;-;3': "
      "invalid literal for int() with base 10: 'x'\n"),
-    (["table", "hecke:2"], "error: UnknownTable: hecke table needs qmax >= 3, got 2\n"),
+    (["table", "hecke:2"], "error: UnknownTable: hecke table qmax must be >= 3, got 2\n"),
     (["table", "hecke:x"], "error: UnknownTable: malformed table name 'hecke:x'\n"),
     (["exact", "mul", "--a", "2*pi)", "--b", "1"],
      "error: DomainError: cannot parse exact scalar '2*pi)': cannot parse scalar '2*pi)'\n"),
