@@ -152,7 +152,7 @@ def _json_text(payload) -> str:
 Param = namedtuple("Param", "flag dest options convert")
 
 
-class Kind:
+def Kind(convert=lambda value, args: value, **options):
     """How a parameter is declared to argparse and turned into a library argument.
 
     ``convert(value, args)`` runs after parsing, so that its DomainError exits 2
@@ -160,16 +160,14 @@ class Kind:
     ``args`` is the whole namespace, which ``--nu`` needs for ``--q``.
     """
 
-    def __init__(self, convert=lambda value, args: value, **options):
-        self.convert = convert
-        self.options = options
+    def param(flag: str, help: str | None = None) -> Param:
+        flag_options = dict(options, help=help) if help else options
+        return Param(flag, flag.lstrip("-").replace("-", "_"), flag_options, convert)
 
-    def __call__(self, flag: str, help: str | None = None) -> Param:
-        options = dict(self.options, help=help) if help else self.options
-        return Param(flag, flag.lstrip("-").replace("-", "_"), options, self.convert)
+    return param
 
 
-def _choice(default, **options) -> Kind:
+def _choice(default, **options):
     """A flag taking the value of a member of ``default``'s enum, listed in their order."""
     values = type(default)
     return Kind(lambda text, args: values(text), choices=[m.value for m in values],

@@ -29,14 +29,20 @@ _EXPONENT = r"e([-+]?\d+(?:_\d+)*)"
 def _fraction(value) -> Fraction:
     """Fraction(value), text read as int() reads it, under the int-to-str digit limit:
     TooLarge for a decimal exponent past the limit (before 10 is raised to it), then for a
-    longer numerator or denominator.  inf or "1/0" is a ValueError, as nan is."""
+    longer run of digits, numerator or denominator.  inf or "1/0" is a ValueError, as nan is."""
     limit = sys.get_int_max_str_digits() if isinstance(value, str) else 0  # 0: no limit
-    if limit and any(abs(int(e)) > limit for e in re.findall(_EXPONENT, value, re.I)):
+    if limit and any(len(e) > limit or abs(int(e)) > limit  # len first: int() refuses a longer e
+                     for e in re.findall(_EXPONENT, value, re.I)):
         raise TooLarge(f"{value!r} has an exponent above {limit}, the int-to-str digit limit")
     try:
         r = Fraction(value)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"{value!r} is not a finite rational") from None
+    except ValueError:  # int() refuses a longer run of digits: the runs are measured only then
+        if limit and max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0) > limit:
+            raise TooLarge(f"{value!r} has a numerator or denominator longer than {limit} "
+                           "digits") from None
+        raise
     term = max(abs(r.numerator), r.denominator)
     if limit and term.bit_length() > 3.32 * limit and term >= 10**limit:  # log2(10) > 3.32
         raise TooLarge(f"{value!r} has a numerator or denominator longer than {limit} digits")
@@ -64,6 +70,7 @@ class PiRational:
     not copied (it is immutable); anything else, a subclass included, is converted by
     ``Fraction()``, text under the int-to-str digit limit (TooLarge past it), and a
     value that is not a finite rational, inf or "1/0", is a ValueError.
+    ``pi_exp`` is an int (not a bool) in {-1, 0, 1}; any other is an ExponentOverflow.
     """
 
     __slots__ = ("coeff", "pi_exp")
@@ -71,6 +78,8 @@ class PiRational:
     def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
         if type(coeff) is not Fraction:
             coeff = _fraction(coeff)
+        if type(pi_exp) is not int:  # a bool or 1.0 would not survive the JSON round trip
+            raise ExponentOverflow(f"pi exponent must be an integer, got {pi_exp!r}")
         if pi_exp != 0 and not coeff:
             pi_exp = 0
         if pi_exp not in (-1, 0, 1):
@@ -173,23 +182,14 @@ class PiRational:
 
     def render(self, ascii_pi: bool = False) -> str:
         """Canonical text form: "a/b", "a/b·π", "a/(b·π)" (or "pi"/"*" in ASCII mode)."""
-        pi = "pi" if ascii_pi else "π"
-        dot = "*" if ascii_pi else "·"
+        pi, dot = ("pi", "*") if ascii_pi else ("π", "·")
         num, den = int_text(self.coeff.numerator), int_text(self.coeff.denominator)
-        if self.pi_exp == 0:
-            return num if den == "1" else f"{num}/{den}"
-        if self.pi_exp == 1:
-            if self.coeff == 1:
-                return pi
-            if self.coeff == -1:
-                return f"-{pi}"
-            if den == "1":
-                return f"{num}{dot}{pi}"
-            return f"{num}/{den}{dot}{pi}"
-        # pi_exp == -1
-        if den == "1":
-            return f"{num}/{pi}"
-        return f"{num}/({den}{dot}{pi})"
+        if self.pi_exp == -1:
+            return f"{num}/{pi}" if den == "1" else f"{num}/({den}{dot}{pi})"
+        text = num if den == "1" else f"{num}/{den}"
+        if self.pi_exp == 1:  # 1 and -1 times pi print as pi and -pi
+            return text[:-1] + pi if text in ("1", "-1") else f"{text}{dot}{pi}"
+        return text
 
     def __str__(self) -> str:
         return self.render()

@@ -31,7 +31,7 @@ that PrimePower shares: TooLarge past PRIME_BITS_GUARD bits, before it is tested
 import enum
 import functools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -58,11 +58,15 @@ INFINITE_VALUATION = math.inf
 RESULT_DIGIT_GUARD = 45_000
 
 
+def _power_digits(base: int, exponent: int) -> int:
+    """About the digits of base^exponent (base > 1, no power of 10), in int arithmetic."""
+    num, den = math.log10(base).as_integer_ratio()
+    return int(exponent) * num // den + 1  # int(): abs_from_valuation may pass a float v
+
+
 def _check_digits(base: int, exponent: int) -> None:
-    """TooLarge when base^exponent (base > 1, no power of 10) has more than
-    RESULT_DIGIT_GUARD digits."""
-    num, den = math.log10(base).as_integer_ratio()  # int arithmetic: no float overflow
-    digits = int(exponent) * num // den + 1  # int(): abs_from_valuation may pass a float v
+    """TooLarge when base^exponent has more than RESULT_DIGIT_GUARD digits."""
+    digits = _power_digits(base, exponent)
     if digits > RESULT_DIGIT_GUARD:
         raise TooLarge(f"result needs a power of {int_text(digits)} digits, more than the "
                        f"result-digit guard {RESULT_DIGIT_GUARD}")
@@ -242,10 +246,7 @@ def weyl_enumerate(max_length: int) -> list:
 
 def weyl_length_histogram(max_length: int) -> dict:
     """Length -> count over weyl_words(max_length), which holds one word at a time."""
-    hist: dict = {}
-    for word in weyl_words(max_length):
-        hist[word.length] = hist.get(word.length, 0) + 1
-    return hist
+    return Counter(word.length for word in weyl_words(max_length))
 
 
 def weyl_partial_sum(q, max_length: int) -> Fraction:

@@ -6,9 +6,7 @@ formulas.  Rendering is deterministic (fixed row order, LF endings) so table
 output is byte-identical across runs.
 """
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import NoSuchLattice, TooLarge, UnknownTable
 from .exact import int_text
@@ -21,6 +19,7 @@ from .padic import (
     PadicRep,
     _check_jl_prime,
     _jl_formal_dim,
+    _power_digits,
     ihara_lattice,
     lattice_covolume,
     vn_dimension_padic,
@@ -68,6 +67,7 @@ def padic_table(q: int, n_max: int) -> tuple:
     """Free lattices in PGL(2,F) up to rank n_max with covolumes (K=1) and the
     von Neumann dimensions of the two computable square-integrable series."""
     pp = as_prime_power(q)
+    _check_int(n_max, None, UnknownTable, "padic table nmax")
     rows = []
     for n in range(2, n_max + 1):
         try:
@@ -91,10 +91,10 @@ def padic_table(q: int, n_max: int) -> tuple:
 def jl_table(p: int, j_max: int) -> tuple:
     """Formal dimensions of discrete-series classes, Steinberg normalized to 1."""
     _check_jl_prime(p)
-    # about, over every row; exact rational arithmetic, so no float overflow for any j_max
-    digits = Fraction(math.log10(p)) * (5 * j_max * j_max // 8)
+    _check_int(j_max, None, UnknownTable, "jl table jmax")
+    digits = _power_digits(p, 5 * j_max * j_max // 8)  # about, over every row
     if digits > TABLE_DIGIT_GUARD:
-        raise TooLarge(f"table of about {int_text(round(digits))} digits exceeds table-digit guard "
+        raise TooLarge(f"table of about {int_text(digits)} digits exceeds table-digit guard "
                        f"{TABLE_DIGIT_GUARD}")
     rows = []
     for tag, conductors in ((JLTag.GENERALIZED_SPECIAL, (0,)),

@@ -70,13 +70,20 @@ def assert_refused(capsys, *argv, within=0.1):
     ["exact", "mul", "--a", "1e60000*pi", "--b", "1"],
     ["exact", "compare", "--a", "1/2", "--b", "2e60000/pi"],
     ["exact", "mul", "--a", "1e" + "9" * 4000, "--b", "1"],
+    ["exact", "mul", "--a", "1e" + "1" * 4301, "--b", "1"],
 ], ids=lambda argv: " ".join(argv)[:60])
 def test_a_huge_decimal_exponent_is_refused_at_once(capsys, argv):
     err = assert_refused(capsys, *argv)
     assert f"has an exponent above {LIMIT}, the int-to-str digit limit" in err
 
 
-@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12.5e4299", "1234e4297", "-1e4300"])
+@pytest.mark.parametrize("text", [
+    "1e4300", "1e-4300", "12.5e4299", "1234e4297", "-1e4300",
+    # written digits, which int() itself refuses past the limit
+    pytest.param("1" * 4301, id="1x4301"),
+    pytest.param("1/" + "1" * 4301, id="1/1x4301"),
+    pytest.param("0." + "1" * 4301, id="0.1x4301"),
+])
 def test_a_term_past_the_digit_limit_is_refused(capsys, text):
     err = assert_refused(capsys, "padic", "valuation", f"--r={text}", "--p", "5")
     assert f"has a numerator or denominator longer than {LIMIT} digits" in err
@@ -116,7 +123,10 @@ TEXT_READERS = {
     ("1e4400", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
     ("1e10000000", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
     ("3e-4300", f"has a numerator or denominator longer than {LIMIT} digits"),
-], ids=["1e4400", "1e10000000", "3e-4300"])
+    ("1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
+    ("1/" + "1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
+    ("0." + "1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
+], ids=["1e4400", "1e10000000", "3e-4300", "1x4301", "1/1x4301", "0.1x4301"])
 @pytest.mark.parametrize("call", TEXT_READERS.values(), ids=TEXT_READERS)
 def test_a_library_call_reads_text_under_the_digit_limit(call, text, ending):
     start = time.perf_counter()

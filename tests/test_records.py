@@ -26,6 +26,7 @@ from vndim.errors import (
     BadCharacterIndex,
     BadRamification,
     DomainError,
+    ExponentOverflow,
     InvalidSignature,
     LevelOutOfRange,
     NegativeLength,
@@ -91,7 +92,7 @@ from vndim.padic import (
     weyl_texts,
     weyl_words,
 )
-from vndim.tables import TABLE_NAMES, Table, build_table, hecke_table
+from vndim.tables import TABLE_NAMES, Table, build_table, hecke_table, jl_table, padic_table
 
 PADIC_COLUMNS = ("n", "h", "covolume_k1", "vn_steinberg", "vn_cuspidal")
 
@@ -290,6 +291,14 @@ NON_INT_REFUSALS = [
     ("cusp_form_dim", lambda x: cusp_form_dim(_SIG, x), OddWeight,
      "weight must be an integer, got {!r}"),
     ("hecke_table", hecke_table, UnknownTable, "hecke table qmax must be an integer, got {!r}"),
+    ("jl_table", lambda x: jl_table(3, x), UnknownTable, "jl table jmax must be an integer, got {!r}"),
+    ("padic_table", lambda x: padic_table(3, x), UnknownTable,
+     "padic table nmax must be an integer, got {!r}"),
+    ("PiRational-pi_exp", lambda x: PiRational(3, x), ExponentOverflow,
+     "pi exponent must be an integer, got {!r}"),
+    # checked before a zero coefficient resets the exponent to 0
+    ("PiRational-pi_exp-zero", lambda x: PiRational(0, x), ExponentOverflow,
+     "pi exponent must be an integer, got {!r}"),
     ("is_regular", lambda x: is_regular(3, x), BadCharacterIndex,
      "character index a must be an integer, got {!r}"),
     ("count_regular_characters", lambda x: count_regular_characters(3, x), BadCharacterIndex,
