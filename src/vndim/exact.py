@@ -31,8 +31,9 @@ def _fraction(value) -> Fraction:
     TooLarge for a decimal exponent past the limit (before 10 is raised to it), then for a
     longer run of digits, numerator or denominator.  inf or "1/0" is a ValueError, as nan is."""
     limit = sys.get_int_max_str_digits() if isinstance(value, str) else 0  # 0: no limit
-    if limit and any(len(e) > limit or abs(int(e)) > limit  # len first: int() refuses a longer e
-                     for e in re.findall(_EXPONENT, value, re.I)):
+    if limit and ("e" in value or "E" in value) and any(
+            len(e) > limit or abs(int(e)) > limit  # len first: int() refuses a longer e
+            for e in re.findall(_EXPONENT, value, re.I)):
         raise TooLarge(f"{value!r} has an exponent above {limit}, the int-to-str digit limit")
     try:
         r = Fraction(value)
@@ -100,8 +101,10 @@ class PiRational:
     def __mul__(self, other: "PiRational | Fraction | int") -> "PiRational":
         if not isinstance(other, PiRational):
             other = PiRational(other)
-        # The constructor checks the exponent: a zero factor is stored with exponent 0.
-        return PiRational(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
+        # Fraction's int/int constructor reduces with one gcd.  The constructor checks
+        # the exponent: a zero factor is stored with exponent 0.
+        (a, b), (c, d) = self.coeff.as_integer_ratio(), other.coeff.as_integer_ratio()
+        return PiRational(Fraction(a * c, b * d), self.pi_exp + other.pi_exp)
 
     __rmul__ = __mul__
 

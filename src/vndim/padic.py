@@ -61,7 +61,7 @@ RESULT_DIGIT_GUARD = 45_000
 def _power_digits(base: int, exponent: int) -> int:
     """About the digits of base^exponent (base > 1, no power of 10), in int arithmetic."""
     num, den = math.log10(base).as_integer_ratio()
-    return int(exponent) * num // den + 1  # int(): abs_from_valuation may pass a float v
+    return exponent * num // den + 1
 
 
 def _check_digits(base: int, exponent: int) -> None:
@@ -79,20 +79,36 @@ def padic_valuation(r: Fraction, p: int):
 
 
 def _valuation(r: Fraction, p: int):
-    """padic_valuation with p already known to be prime."""
+    """padic_valuation with p already known to be prime, in O(log v) divisions."""
     if not isinstance(r, (int, Fraction)):  # an int or a Fraction has its terms already
         r = _fraction(r)
-    num, den = r.as_integer_ratio()  # % and // strip p from a negative num exactly
+    num, den = r.as_integer_ratio()  # % and divmod strip p from a negative num exactly
     if not num:
         return INFINITE_VALUATION
-    v = 0
-    while not num % p:
-        num //= p
-        v += 1
-    while not den % p:
-        den //= p
-        v -= 1
-    return v
+    if num % p:
+        if den % p:
+            return 0
+        num, sign = den, -1  # the terms are coprime: p divides at most one of them
+    else:
+        sign = 1
+    num //= p
+    if num % p:  # v = 1 or -1, the commonest after 0
+        return sign
+    # p^2 divides num: divide it by p, p^2, p^4, ... while the power divides, then walk
+    # back down the same powers, each the square root of the one before
+    k, power, e = 1, p, 1
+    while True:
+        quotient, rest = divmod(num, power)
+        if rest:
+            break
+        num, k = quotient, k + e
+        power, e = power * power, 2 * e
+    while e > 1:  # p^e no longer divides num: the rest of k is below e
+        power, e = math.isqrt(power), e // 2
+        quotient, rest = divmod(num, power)
+        if not rest:
+            num, k = quotient, k + e
+    return sign * k
 
 
 def padic_abs(r: Fraction, p: int) -> Fraction:
@@ -103,16 +119,18 @@ def padic_abs(r: Fraction, p: int) -> Fraction:
 
 def abs_from_valuation(v, p: int) -> Fraction:
     """p^(-v) as an exact rational, and 0 for v = +inf: |r|_p from v = v(r).
-    Memoized with padic_abs by (v, p) and their types, keeping at most 256 results:
+    Memoized with padic_abs by (v, p), keeping at most 256 results:
     each one a call returned, from padic_abs no larger than a p-power dividing r.
-    NotPrime unless p is prime; TooLarge when p^|v| has more than RESULT_DIGIT_GUARD digits."""
+    NotPrime unless p is prime; ValueError for any other v than an int (not a bool) or
+    +inf; TooLarge when p^|v| has more than RESULT_DIGIT_GUARD digits."""
     _check_prime(p, NotPrime)
     if v != INFINITE_VALUATION:
+        _check_int(v, None, ValueError, "valuation")
         _check_digits(p, abs(v))
     return _abs_from_valuation(v, p)
 
 
-@functools.lru_cache(maxsize=256, typed=True)  # typed: 2.0 misses the key 2, True the key 1
+@functools.lru_cache(maxsize=256)  # v is an int or +inf, p an int: each key has one type
 def _abs_from_valuation(v, p: int) -> Fraction:
     if math.isinf(v):
         return Fraction(0)
@@ -123,14 +141,18 @@ def ultrametric_check(r: Fraction, s: Fraction, p: int) -> bool:
     """|r + s|_p <= max(|r|_p, |s|_p); true for every pair, by ultrametricity.
 
     Since |x|_p = p^(-v(x)) falls as v(x) rises, this compares valuations:
-    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.  Ints and Fractions are added as
+    v(r + s) >= min(v(r), v(s)), with v(0) = +inf.  Ints and Fractions are taken as
     they are; anything else is converted first, as PiRational converts it, so that a
     str is parsed under the digit limit, not concatenated, and a float adds unrounded.
+    v(r + s) is that of the sum itself, r = a/b and s = c/d added unreduced as
+    (ad + bc)/(bd): no Fraction is built for it.
     """
     _check_prime(p, NotPrime)
     r = r if isinstance(r, (int, Fraction)) else _fraction(r)
     s = s if isinstance(s, (int, Fraction)) else _fraction(s)
-    return _valuation(r + s, p) >= min(_valuation(r, p), _valuation(s, p))
+    (a, b), (c, d) = r.as_integer_ratio(), s.as_integer_ratio()
+    return (_valuation(a * d + b * c, p) - _valuation(b * d, p)
+            >= min(_valuation(r, p), _valuation(s, p)))
 
 
 # -- quadratic extension level arithmetic -------------------------------------

@@ -106,6 +106,14 @@ def test_library_calls_take_rationals_of_any_size():
     assert PiRational(Fraction(1, 10**60000), 1) * 10**60000 == PiRational(1, 1)
 
 
+@pytest.mark.parametrize("r, v", [(Fraction(10**50000), 50000), (Fraction(-7, 10**50000), -50000)],
+                         ids=["10^50000", "-7/10^50000"])
+def test_a_valuation_of_many_digits_answers_fast(r, v):
+    start = time.perf_counter()
+    assert padic_valuation(r, 5) == v
+    assert time.perf_counter() - start < 0.1
+
+
 #: Every library call that reads a caller's rational, with that rational as x.
 TEXT_READERS = {
     "PiRational": PiRational,
@@ -122,11 +130,14 @@ TEXT_READERS = {
 @pytest.mark.parametrize("text, ending", [
     ("1e4400", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
     ("1e10000000", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
+    ("2.5E+4400", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
+    ("-3E4301", f"has an exponent above {LIMIT}, the int-to-str digit limit"),
     ("3e-4300", f"has a numerator or denominator longer than {LIMIT} digits"),
     ("1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
     ("1/" + "1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
     ("0." + "1" * 4301, f"has a numerator or denominator longer than {LIMIT} digits"),
-], ids=["1e4400", "1e10000000", "3e-4300", "1x4301", "1/1x4301", "0.1x4301"])
+], ids=["1e4400", "1e10000000", "2.5E+4400", "-3E4301", "3e-4300", "1x4301", "1/1x4301",
+        "0.1x4301"])
 @pytest.mark.parametrize("call", TEXT_READERS.values(), ids=TEXT_READERS)
 def test_a_library_call_reads_text_under_the_digit_limit(call, text, ending):
     start = time.perf_counter()

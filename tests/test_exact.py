@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vndim.errors import ExponentOverflow, IncomparableExponents, TooLarge
@@ -53,6 +53,43 @@ def test_mul_commutative_associative_samples():
     c = PiRational(Fraction(11, 4), 0)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def product_outcome(call):
+    """The stored terms of a product and their types, or its refusal's type and message."""
+    try:
+        z = call()
+    except Exception as error:
+        return type(error), str(error)
+    return type(z), type(z.coeff), z.coeff, type(z.pi_exp), z.pi_exp
+
+
+@st.composite
+def pi_rationals(draw):
+    """A PiRational whose numerator and denominator have at most d digits, d from 1 to 4300."""
+    bound = 10 ** draw(st.integers(1, 4300))
+    coeff = Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+    return PiRational(coeff, draw(st.sampled_from((-1, 0, 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pi_rationals(), pi_rationals())
+@example(PI, PI)  # ExponentOverflow, with the constructor's message
+@example(PiRational(Fraction(0), -1), PI.inverse())
+@example(PiRational(Fraction(10**4300 - 1, 10**4299 + 7), 1),
+         PiRational(Fraction(-(10**4300 - 3), 3 * 10**4299 + 1), -1))
+def test_a_product_is_the_product_of_the_coefficients(x, y):
+    expected = product_outcome(lambda: PiRational(x.coeff * y.coeff, x.pi_exp + y.pi_exp))
+    assert product_outcome(lambda: x * y) == expected
+    assert product_outcome(lambda: y * x) == expected
+
+
+@pytest.mark.parametrize("exp", [-1, 0, 1])
+@pytest.mark.parametrize("value", [PiRational(0), PiRational(Fraction(-7, 3), -1), PI, 3,
+                                   Fraction(5, 2)], ids=repr)
+def test_a_zero_factor_stores_exponent_zero(value, exp):
+    for z in (PiRational(Fraction(0), exp) * value, value * PiRational(0, exp)):
+        assert (z.coeff, z.pi_exp) == (0, 0) and type(z.coeff) is Fraction
 
 
 def test_zero_is_canonical():

@@ -5,11 +5,13 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vndim import padic
 from vndim.cli import main
 from vndim.errors import (
     BadRamification,
@@ -149,6 +151,71 @@ def test_ultrametric_check_matches_the_absolute_value_form():
                       rng.choice((2, 3, 5)))
         by_valuation = padic_valuation(x, p) >= min(padic_valuation(r, p), padic_valuation(s, p))
         assert by_valuation == (padic_abs(x, p) <= max(padic_abs(r, p), padic_abs(s, p)))
+
+
+def one_step_valuation(r: Fraction, p: int):
+    """v_p by stripping one factor of p per step from each term."""
+    num, den = Fraction(r).as_integer_ratio()
+    if not num:
+        return INFINITE_VALUATION
+    v = 0
+    while not num % p:
+        num //= p
+        v += 1
+    while not den % p:
+        den //= p
+        v -= 1
+    return v
+
+
+def test_valuation_matches_the_one_step_loop():
+    rng = random.Random(34)
+    for p in (2, 3, 5, 7, 101, 10**12 + 39):
+        for _ in range(200):
+            v = rng.choice((0, 1, 2, 3, rng.randint(4, 64), rng.randint(65, 700)))
+            unit = Fraction(rng.choice((1, -1)) * rng.randint(1, 10**30), rng.randint(1, 10**30))
+            r = unit * Fraction(p) ** rng.choice((v, -v))
+            assert padic_valuation(r, p) == one_step_valuation(r, p), (r, p)
+            assert padic_valuation(r.numerator, p) == one_step_valuation(r.numerator, p)
+    for v in range(70):  # past each turn of the doubling, up to p^64
+        for r, want in ((-2 * 3**v, v), (Fraction(-2, 3**v), -v), (3**v * (10**40 + 1), v)):
+            assert padic_valuation(r, 3) == one_step_valuation(r, 3) == want, (r, want)
+
+
+@st.composite
+def padic_pairs(draw):
+    """(r, s, p): ints, Fractions and 300-digit terms times a power of p; s may be -r or r."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 10**12 + 39)))
+
+    def term():
+        big = 10**300
+        unit = draw(st.one_of(st.integers(-(10**4), 10**4), st.fractions(max_denominator=10**4),
+                              st.integers(-big, big),
+                              st.builds(Fraction, st.integers(-big, big), st.integers(1, big))))
+        k = draw(st.integers(-8, 8))
+        return unit * p**k if k >= 0 else Fraction(unit) / p**-k
+
+    r = term()
+    return r, draw(st.sampled_from((term(), -r, r))), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(padic_pairs())
+def test_ultrametric_check_matches_the_fraction_form_on_drawn_pairs(case):
+    r, s, p = case
+    assert ultrametric_check(r, s, p) is fraction_ultrametric_check(r, s, p) is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(padic_pairs())
+def test_ultrametric_check_compares_the_valuation_of_the_sum_itself(case):
+    """With min(v(r), v(s)) replaced by a threshold t, the check reads v(r + s) >= t, so it
+    gives v(r + s) away: true at t = v(r + s), false one above (unless r + s = 0)."""
+    r, s, p = case
+    v = one_step_valuation(Fraction(r) + Fraction(s), p)
+    for threshold, holds in ((v, True), (v + 1, v == INFINITE_VALUATION)):
+        with mock.patch.object(padic, "min", lambda *_: threshold, create=True):
+            assert ultrametric_check(r, s, p) is holds, (r, s, p, threshold)
 
 
 # -- extension levels --------------------------------------------------------------
@@ -704,6 +771,17 @@ def test_memo_keys_are_typed(v):
     assert abs_from_valuation(1, 5) == Fraction(1, 5)
     assert outcome(lambda: abs_from_valuation(v, 5)) == cold
     assert outcome(lambda: abs_from_valuation(2, 5)) == (Fraction, Fraction(1, 25))
+
+
+@pytest.mark.parametrize("v", [2.5, True, False, 2.0, -2.0, math.nan, -math.inf,
+                               Fraction(2), Decimal(2), "2", None], ids=repr)
+def test_abs_from_valuation_refuses_any_other_v_than_an_int_or_inf(v):
+    _abs_from_valuation.cache_clear()
+    with pytest.raises(ValueError) as raised:
+        abs_from_valuation(v, 5)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"valuation must be an integer, got {v!r}"
+    assert _abs_from_valuation.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("v, p, error, message", [
