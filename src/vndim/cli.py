@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import factors, finite_field, fuchsian, padic
-from .errors import DomainError, TooLarge
+from .errors import DomainError, TooLarge, _quote
 from .exact import PiRational, _fraction, int_text, parse_pi_rational
 from .fuchsian import GroupMode, parse_signature
 from .padic import HaarNormalization, PadicRep, parse_jl_class
@@ -58,7 +58,7 @@ def _exact(parse, what: str):
         try:
             return parse(text.strip())
         except (ValueError, KeyError, TypeError) as exc:
-            raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
+            raise DomainError(f"cannot parse {what} {_quote(text)}: {exc}") from None
 
     return convert
 
@@ -72,7 +72,7 @@ def _parse_nu(text: str, q) -> int:
         return int(text)
     except ValueError:
         raise DomainError(
-            f"--nu must be an integer index, 'trivial', or 'sign'; got {text!r}"
+            f"--nu must be an integer index, 'trivial', or 'sign'; got {_quote(text)}"
         ) from None
 
 

@@ -2,8 +2,18 @@
 
 Every exception below signals a *domain* error: the input was parsed fine but
 names a mathematically meaningless or out-of-range object.  The CLI maps any
-``DomainError`` to exit code 2, reserving exit code 1 for usage errors.
+``DomainError`` to exit code 2, reserving exit code 1 for usage errors.  A
+refusal quotes an input through ``_quote``, which cuts a long str short.
 """
+
+
+def _quote(value) -> str:
+    """An input as a refusal quotes it: its repr, but a str of more than 100
+    characters as the repr of its first 40, "..." and its length, so that no
+    message repeats a long input whole."""
+    if isinstance(value, str) and len(value) > 100:
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 class DomainError(Exception):

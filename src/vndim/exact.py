@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ExponentOverflow, IncomparableExponents, TooLarge
+from .errors import ExponentOverflow, IncomparableExponents, TooLarge, _quote
 
 #: Half the most decimal digits that str() converts in one piece: 600 digits
 #: stay under the lowest int-to-str limit Python accepts (640; 4300 by default).
@@ -34,19 +34,23 @@ def _fraction(value) -> Fraction:
     if limit and ("e" in value or "E" in value) and any(
             len(e) > limit or abs(int(e)) > limit  # len first: int() refuses a longer e
             for e in re.findall(_EXPONENT, value, re.I)):
-        raise TooLarge(f"{value!r} has an exponent above {limit}, the int-to-str digit limit")
+        raise TooLarge(f"{_quote(value)} has an exponent above {limit}, "
+                       "the int-to-str digit limit")
     try:
         r = Fraction(value)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"{value!r} is not a finite rational") from None
+        raise ValueError(f"{_quote(value)} is not a finite rational") from None
     except ValueError:  # int() refuses a longer run of digits: the runs are measured only then
         if limit and max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0) > limit:
-            raise TooLarge(f"{value!r} has a numerator or denominator longer than {limit} "
-                           "digits") from None
+            raise TooLarge(f"{_quote(value)} has a numerator or denominator "
+                           f"longer than {limit} digits") from None
+        if limit:  # Fraction's own text would repeat the whole literal
+            raise ValueError(f"Invalid literal for Fraction: {_quote(value)}") from None
         raise
     term = max(abs(r.numerator), r.denominator)
     if limit and term.bit_length() > 3.32 * limit and term >= 10**limit:  # log2(10) > 3.32
-        raise TooLarge(f"{value!r} has a numerator or denominator longer than {limit} digits")
+        raise TooLarge(f"{_quote(value)} has a numerator or denominator "
+                       f"longer than {limit} digits")
     return r
 
 
@@ -80,7 +84,7 @@ class PiRational:
         if type(coeff) is not Fraction:
             coeff = _fraction(coeff)
         if type(pi_exp) is not int:  # a bool or 1.0 would not survive the JSON round trip
-            raise ExponentOverflow(f"pi exponent must be an integer, got {pi_exp!r}")
+            raise ExponentOverflow(f"pi exponent must be an integer, got {_quote(pi_exp)}")
         if pi_exp != 0 and not coeff:
             pi_exp = 0
         if pi_exp not in (-1, 0, 1):
@@ -226,4 +230,4 @@ def parse_pi_rational(text: str) -> PiRational:
         pi_exp = {"*pi": 1, "/pi": -1}.get(s[-3:], 0)
         return PiRational(_fraction(s[:-3] if pi_exp else s) * scale, pi_exp)
     except ValueError:  # TooLarge, a DomainError, passes
-        raise ValueError(f"cannot parse scalar {text!r}") from None
+        raise ValueError(f"cannot parse scalar {_quote(text)}") from None

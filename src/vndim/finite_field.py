@@ -14,7 +14,9 @@ can cross-validate:
   fields themselves are built explicitly.  F_{p^f} is (Z/p)[x]/(g), where g is
   the least monic irreducible polynomial of degree f when its coefficients
   below x^f are read lexicographically, highest first; g is found by trial
-  division, not by a closed form.  F_{q^2} is built the same way, directly as
+  division, not by a closed form: a candidate is evaluated at each r in Z/p and
+  rejected at a root, and any other is divided by the root-free monic
+  polynomials of degree 2 to f/2.  F_{q^2} is built the same way, directly as
   degree 2f over Z/p, and F_q inside it is the fixed field of the Frobenius
   x -> x^q.  No discrete logarithm is used, so the norm and trace facts are
   checked, not derived from the cyclic model above.
@@ -26,7 +28,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import product
 
-from .errors import BadCharacterIndex, EvenResidue, NotPrimePower, TooLarge
+from .errors import BadCharacterIndex, EvenResidue, NotPrimePower, TooLarge, _quote
 
 #: Field-model guard: a model tabulates every one of its p^f elements, and
 #: finding its modulus walks polynomials over Z/p, so a larger field is refused,
@@ -175,7 +177,7 @@ def _check_prime(p: int, error, refusal: str = "{} is not prime") -> None:
 def _check_int(value, low: int | None, error, what: str) -> None:
     """error unless value is an int (not a bool) >= low; low=None checks only the type."""
     if type(value) is not int:
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {_quote(value)}")
     if low is not None and value < low:
         raise error(f"{what} must be >= {low}, got {value}")
 
@@ -277,22 +279,46 @@ def _enumerable(q) -> PrimePower:
 
 
 def _divides(h: tuple[int, ...], g: tuple[int, ...], p: int) -> bool:
-    """Whether the monic polynomial h divides g over Z/p (coefficients highest first)."""
-    rest = list(g)
-    for i in range(len(g) - len(h) + 1):
+    """Whether the monic polynomial h divides g over Z/p (coefficients highest first):
+    long division, skipping each zero digit of the quotient, leaves a remainder, the
+    last len(h) - 1 coefficients, that is 0 mod p."""
+    rest, h_tail, top = list(g), h[1:], len(g) - len(h) + 1
+    for i in range(top):
         c = rest[i] % p
-        for j, hj in enumerate(h):
-            rest[i + j] -= c * hj
-    return all(c % p == 0 for c in rest)
+        if c:
+            for j, hj in enumerate(h_tail, i + 1):
+                rest[j] -= c * hj
+    return all(c % p == 0 for c in rest[top:])
+
+
+def _root_free(tail: tuple[int, ...], p: int) -> bool:
+    """Whether x^d + (tail, highest first) has no root in Z/p: its value at each r, by
+    Horner's rule, is the remainder of its division by x - r."""
+    for r in range(p):
+        value = 1
+        for c in tail:
+            value = value * r + c
+        if value % p == 0:
+            return False
+    return True
 
 
 def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
     """The coefficients below x^f, highest first, of the least monic irreducible
-    polynomial of degree f over Z/p in their lexicographic order: the first
-    that no monic polynomial of degree 1 to f/2 divides (one exists for every f)."""
-    divisors = [(1,) + h for d in range(1, f // 2 + 1) for h in product(range(p), repeat=d)]
+    polynomial of degree f over Z/p in their lexicographic order (one exists for every f).
+
+    Trial division in two steps: a candidate with a root in Z/p has a divisor of
+    degree 1 and is rejected by evaluation; any other is divided only by the
+    root-free monic polynomials of degree 2 to f/2, since a divisor with a root
+    would pass that root to the candidate.  For f = 1 the first candidate, x, is
+    irreducible.
+    """
+    if f == 1:
+        return (0,)
+    divisors = [(1,) + h for d in range(2, f // 2 + 1) for h in product(range(p), repeat=d)
+                if _root_free(h, p)]
     for tail in product(range(p), repeat=f):
-        if not any(_divides(h, (1,) + tail, p) for h in divisors):
+        if _root_free(tail, p) and not any(_divides(h, (1,) + tail, p) for h in divisors):
             return tail
 
 
@@ -312,6 +338,10 @@ class _Field:
             raise TooLarge(f"field of {p}^{f} elements exceeds field-model guard {FIELD_GUARD}")
         self.modulus = _least_irreducible(p, f)
         self._bits = bits = (f * f * p**3).bit_length()
+        self._mask = (1 << bits) - 1  # one lane
+        self._shifts = tuple(range((f - 1) * bits, -1, -bits))  # of each lane, highest first
+        self._low_bits = f * bits  # the f lanes of an element; a product spills above them
+        self._low_mask = (1 << self._low_bits) - 1
 
         def lanes(coeffs):
             return sum(c << i * bits for i, c in enumerate(coeffs))
@@ -329,23 +359,22 @@ class _Field:
 
     def _element(self, lanes: int) -> int:
         """The element whose coefficients are the lanes' values mod p."""
-        p, bits = self.p, self._bits
-        mask = (1 << bits) - 1
+        p, mask = self.p, self._mask
         value = 0
-        for i in range(self.f - 1, -1, -1):
-            value = value * p + (lanes >> i * bits & mask) % p
+        for shift in self._shifts:
+            value = value * p + (lanes >> shift & mask) % p
         return value
 
     def add(self, a: int, b: int) -> int:
         return self._element(self._lanes[a] + self._lanes[b])
 
     def mul(self, a: int, b: int) -> int:
-        f, bits = self.f, self._bits
+        bits, mask = self._bits, self._mask
         product = self._lanes[a] * self._lanes[b]
-        low = product & ((1 << f * bits) - 1)
-        product >>= f * bits
+        low = product & self._low_mask
+        product >>= self._low_bits
         for reduction in self._reductions:
-            low += (product & ((1 << bits) - 1)) * reduction
+            low += (product & mask) * reduction
             product >>= bits
         return self._element(low)
 

@@ -31,6 +31,7 @@ from .errors import (
     OddWeight,
     ParityViolation,
     UnknownGroup,
+    _quote,
 )
 from .exact import PiRational
 from .finite_field import _Sealed, _check_int
@@ -104,7 +105,7 @@ def parse_signature(text: str) -> FuchsianSignature:
     """Parse "g;m1,m2,...;h" ("-" for no elliptic orders), e.g. "0;2,3;1", "0;-;3"."""
     parts = text.strip().split(";") if isinstance(text, str) else ()
     if len(parts) != 3:
-        raise InvalidSignature(f"signature must have three ';'-separated fields: {text!r}")
+        raise InvalidSignature(f"signature must have three ';'-separated fields: {_quote(text)}")
     g_text, orders_text, h_text = (p.strip() for p in parts)
     try:
         genus = int(g_text)
@@ -113,7 +114,7 @@ def parse_signature(text: str) -> FuchsianSignature:
         if orders_text not in ("-", ""):
             orders = tuple(int(m) for m in orders_text.split(","))
     except ValueError as exc:
-        raise InvalidSignature(f"malformed signature {text!r}: {exc}") from None
+        raise InvalidSignature(f"malformed signature {_quote(text)}: {exc}") from None
     return FuchsianSignature(genus, orders, cusps)
 
 
@@ -263,8 +264,8 @@ def catalog(name: str) -> FuchsianSignature:
             try:
                 q = int(name[1:])
             except ValueError:
-                raise UnknownGroup(f"unknown group {name!r}") from None
+                raise UnknownGroup(f"unknown group {_quote(name)}") from None
             if q < 3:
-                raise UnknownGroup(f"Hecke groups need q >= 3, got {name!r}")
+                raise UnknownGroup(f"Hecke groups need q >= 3, got {_quote(name)}")
             return FuchsianSignature(0, (2, q), 1)
-    raise UnknownGroup(f"unknown group {name!r}")
+    raise UnknownGroup(f"unknown group {_quote(name)}")

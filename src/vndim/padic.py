@@ -44,6 +44,7 @@ from .errors import (
     NotPrime,
     OddRamifiedConductor,
     TooLarge,
+    _quote,
 )
 from .exact import _fraction, int_text
 from .finite_field import _Sealed, _check_int, _check_prime, as_prime_power
@@ -448,7 +449,7 @@ def parse_jl_class(text: str) -> JLClass:
         conductor = int(j_text)
     except ValueError:
         raise ValueError(
-            f"cannot parse class {text!r}; expected special, unram:j=<n>, or ram:j=<n>"
+            f"cannot parse class {_quote(text)}; expected special, unram:j=<n>, or ram:j=<n>"
         ) from None
     return JLClass(tag, conductor)
 

@@ -8,7 +8,7 @@ output is byte-identical across runs.
 
 from collections import namedtuple
 
-from .errors import NoSuchLattice, TooLarge, UnknownTable
+from .errors import NoSuchLattice, TooLarge, UnknownTable, _quote
 from .exact import int_text
 from .finite_field import _check_int, as_prime_power
 from .fuchsian import FREE_CONGRUENCE_CHAIN, catalog, covolume, vn_dimension
@@ -127,14 +127,14 @@ def build_table(name: str) -> Table:
     head, _, params_text = name.partition(":") if isinstance(name, str) else ("", "", "")
     params = params_text.split(":") if params_text else []
     if head not in TABLES or len(params) != len(TABLES[head][1]):
-        raise UnknownTable(f"unknown table {name!r}; valid names: {', '.join(TABLE_NAMES)}")
+        raise UnknownTable(f"unknown table {_quote(name)}; valid names: {', '.join(TABLE_NAMES)}")
     builder, _, size = TABLES[head]
     try:
         args = [int(param) for param in params]
     except ValueError:
-        raise UnknownTable(f"malformed table name {name!r}") from None
+        raise UnknownTable(f"malformed table name {_quote(name)}") from None
     if size and size(*args) > TABLE_ROW_GUARD:
-        raise TooLarge(f"table {name!r} would have up to {size(*args)} rows, more than "
+        raise TooLarge(f"table {_quote(name)} would have up to {size(*args)} rows, more than "
                        f"the table-row guard {TABLE_ROW_GUARD}")
     # Looked up by name, so that a patched module attribute takes effect here.
     columns, rows = globals()[builder.__name__](*args)

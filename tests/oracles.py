@@ -34,6 +34,26 @@ def sieve_primes(limit: int) -> tuple:
     return tuple(primes)
 
 
+def least_irreducible_by_division(p: int, f: int) -> tuple:
+    """The coefficients below x^f, highest first, of the least monic irreducible
+    polynomial of degree f over Z/p in lexicographic order: the first candidate
+    that no monic polynomial of degree 1 to f/2 divides, each division carried
+    out in full and judged by every coefficient left over."""
+
+    def divides(h, g):
+        rest = list(g)
+        for i in range(len(g) - len(h) + 1):
+            c = rest[i] % p
+            for j, hj in enumerate(h):
+                rest[i + j] -= c * hj
+        return all(c % p == 0 for c in rest)
+
+    divisors = [(1,) + h for d in range(1, f // 2 + 1) for h in product(range(p), repeat=d)]
+    for tail in product(range(p), repeat=f):
+        if not any(divides(h, (1,) + tail) for h in divisors):
+            return tail
+
+
 def graded_ring_dim(weights: tuple, k: int) -> int:
     """dim M_k of a ring of modular forms freely generated in the given weights: the
     number of monomials of weight k in the generators, the coefficient of t^k in

@@ -41,6 +41,11 @@ from test_cli import WELL_FORMED
 LIMIT = sys.get_int_max_str_digits()
 
 
+def quoted(text: str) -> str:
+    """Text as a refusal quotes it: whole up to 100 characters, else its first 40 and its length."""
+    return repr(text) if len(text) <= 100 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def run_timed(capsys, *argv):
     """(exit code, stdout, stderr, seconds) of one in-process CLI call."""
     start = time.perf_counter()
@@ -144,7 +149,7 @@ def test_a_library_call_reads_text_under_the_digit_limit(call, text, ending):
     with pytest.raises(TooLarge) as raised:
         call(text)
     assert time.perf_counter() - start < 0.1
-    assert str(raised.value) == f"{text!r} {ending}"
+    assert str(raised.value) == f"{quoted(text)} {ending}"
 
 
 def test_no_digit_limit_means_no_bound_on_library_text():
@@ -316,8 +321,35 @@ def test_a_huge_integer_flag_answers_or_is_refused_at_once(capsys, argv):
 ])
 def test_a_table_past_the_row_guard_is_refused(capsys, name, rows):
     err = assert_refused(capsys, "table", name)
-    assert err == (f"error: TooLarge: table {name!r} would have up to {rows} rows, more than "
+    assert err == (f"error: TooLarge: table {quoted(name)} would have up to {rows} rows, more than "
                    f"the table-row guard {TABLE_ROW_GUARD}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "mul", "--a", "1" * (LIMIT + 1), "--b", "1"),
+    ("exact", "mul", "--a", "x" * 5000, "--b", "1"),
+    ("padic", "jl", "--p", "3", "--cls", "z" * 5000),
+    ("table", "y" * 5000),
+    ("factor", "jones", "--sub", "x" * 5000, "--ambient", "1"),
+    ("ff", "countregular", "--q", "3", "--nu", "x" * 5000),
+    ("fuchsian", "covolume", "--sig", "x" * 5000),
+    ("fuchsian", "catalog", "--name", "H" + "x" * 5000),
+], ids=lambda argv: " ".join(argv)[:40])
+def test_a_refusal_does_not_echo_a_long_input(capsys, argv):
+    code, out, err, _ = run_timed(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    assert len(err.encode()) < 300, err
+    assert f"... ({len(max(argv, key=len))} characters)" in err
+
+
+@pytest.mark.parametrize(
+    "value", ["", "x" * 100, "x" * 101, "y" * 5000, True, 2.5, None, ("z" * 200,)],
+    ids=["str0", "str100", "str101", "str5000", "True", "2.5", "None", "tuple"])
+def test_a_refusal_quotes_only_a_long_str_in_part(value):
+    with pytest.raises(NotPrimePower) as raised:
+        PrimePower(3, value)
+    head = quoted(value) if isinstance(value, str) else repr(value)
+    assert str(raised.value) == f"exponent must be an integer, got {head}"
 
 
 def test_tables_at_the_row_guard_answer():

@@ -30,7 +30,12 @@ from vndim.finite_field import _MILLER_RABIN_BOUNDS, _SMALL_PRIMES, _frobenius, 
 from vndim.padic import HaarNormalization, PadicRep, depth_zero_formal_dim, vn_dimension_padic
 from vndim.tables import build_table
 
-from oracles import factors_through_norm, hilbert90_powers, sieve_primes
+from oracles import (
+    factors_through_norm,
+    hilbert90_powers,
+    least_irreducible_by_division,
+    sieve_primes,
+)
 
 SMALL_Q = (3, 5, 7, 9)
 
@@ -531,6 +536,12 @@ def test_modulus_is_the_least_polynomial_without_a_root(q):
     assert field_model(q).modulus == irreducible[0]
 
 
+@pytest.mark.parametrize("p, f", [(p, f) for p in sieve_primes(101)[1:] for f in range(2, 9)
+                                  if p**f <= FIELD_GUARD])  # degree 2 to 8
+def test_modulus_is_the_least_polynomial_that_full_trial_division_keeps(p, f):
+    assert field_model(p**f).modulus == least_irreducible_by_division(p, f)
+
+
 def test_oracles_agree_with_closed_forms_past_9():
     for q in LARGE_ORACLE_QS:
         answers, orders = oracles_at(q), group_orders(q)
@@ -580,6 +591,20 @@ def test_field_multiplication_matches_schoolbook(q):
              else [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)])
     for a, b in pairs:
         assert field.mul(a, b) == schoolbook_mul(field, a, b), (a, b)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 81, 125, 243, 3**6, 7**3])
+def test_field_addition_matches_digitwise_addition(q):
+    import random
+
+    field = field_model(q)
+    p = field.p
+    rng = random.Random(q)
+    pairs = (product(range(q), repeat=2) if q <= 81
+             else [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)])
+    for a, b in pairs:
+        digits = sum((a // p**i + b // p**i) % p * p**i for i in range(field.f))
+        assert field.add(a, b) == digits, (a, b)
 
 
 @pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (3, 8), (5, 4), (7, 2), (97, 2)])
