@@ -83,12 +83,14 @@ class PiRational:
     def __init__(self, coeff: Fraction | int, pi_exp: int = 0):
         if type(coeff) is not Fraction:
             coeff = _fraction(coeff)
-        if type(pi_exp) is not int:  # a bool or 1.0 would not survive the JSON round trip
-            raise ExponentOverflow(f"pi exponent must be an integer, got {_quote(pi_exp)}")
-        if pi_exp != 0 and not coeff:
-            pi_exp = 0
-        if pi_exp not in (-1, 0, 1):
-            raise ExponentOverflow(f"pi exponent {pi_exp} outside supported range [-1, 1]")
+        # One test passes the common case: an int exponent 0, or -1 or 1 with a nonzero
+        # coefficient.  Any other case is told apart below: type, then range or zero.
+        if type(pi_exp) is not int or pi_exp and (pi_exp not in (-1, 1) or not coeff):
+            if type(pi_exp) is not int:  # a bool or 1.0 would not survive the JSON round trip
+                raise ExponentOverflow(f"pi exponent must be an integer, got {_quote(pi_exp)}")
+            if coeff:
+                raise ExponentOverflow(f"pi exponent {pi_exp} outside supported range [-1, 1]")
+            pi_exp = 0  # a zero coefficient takes exponent 0, whatever was asked
         _set_coeff(self, coeff)
         _set_pi_exp(self, pi_exp)
 

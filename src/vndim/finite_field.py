@@ -44,6 +44,9 @@ PRIME_BITS_GUARD = 3200
 #: The primes up to 41: trial divisors, then the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: The same primes as a set: is_prime and _check_prime settle a p up to 41 by lookup.
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
 #: (bound, k): the least strong pseudoprime to the first k primes as bases, at
 #: each k where it grows (OEIS A014233; Jaeschke 1993, Sorenson and Webster
 #: 2017).  Below the bound, Miller-Rabin with those k bases is exact.
@@ -137,18 +140,19 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether n is prime, in O(log^3 n) bit operations; False for anything but an int.
 
-    Trial division by the primes up to 41 settles those primes and every n
-    below 41^2.  Below 3 317 044 064 679 887 385 961 981, strong Miller-Rabin
-    tests to the first k of the same 13 primes are proven exact, with k from
-    _MILLER_RABIN_BOUNDS: 1 base below 2047, 5 below 2 152 302 898 747, 7 below
-    341 550 071 728 321, and all 13 only past 318 665 857 834 031 151 167 461
-    (Jaeschke 1993, Sorenson and Webster 2017).  Above that, the Baillie-PSW
-    test (Pomerance, Selfridge and Wagstaff 1980) decides: a strong test to
-    base 2 and a strong Lucas test.  No composite is known to pass Baillie-PSW,
-    but none has been proven not to exist.
+    A lookup among the primes up to 41 settles every n up to 41, and trial
+    division by them every n below 41^2.  Below 3 317 044 064 679 887 385 961 981,
+    strong Miller-Rabin tests to the first k of the same 13 primes are proven
+    exact, with k from _MILLER_RABIN_BOUNDS: 1 base below 2047, 5 below
+    2 152 302 898 747, 7 below 341 550 071 728 321, and all 13 only past
+    318 665 857 834 031 151 167 461 (Jaeschke 1993, Sorenson and Webster 2017).
+    Above that, the Baillie-PSW test (Pomerance, Selfridge and Wagstaff 1980)
+    decides: a strong test to base 2 and a strong Lucas test.  No composite is
+    known to pass Baillie-PSW, but none has been proven not to exist.
     """
     if type(n) is not int or n <= 41:
-        return type(n) is int and n in _SMALL_PRIMES  # 3.0, True and "3" are not prime
+        # 3.0, True and "3" are not prime; a negative n is compared, never hashed
+        return type(n) is int and n > 1 and n in _SMALL_PRIME_SET
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False
@@ -168,7 +172,12 @@ def _check_prime_bits(n: int, what: str) -> None:
 
 
 def _check_prime(p: int, error, refusal: str = "{} is not prime") -> None:
-    """TooLarge past PRIME_BITS_GUARD bits, then error(refusal) unless p is a prime int."""
+    """TooLarge past PRIME_BITS_GUARD bits, then error(refusal) unless p is a prime int.
+
+    An int p up to 41 is looked up in is_prime's own table, with no call; the range
+    is compared first, so a huge p is never hashed.  Any other p is tested once."""
+    if type(p) is int and 1 < p <= 41 and p in _SMALL_PRIME_SET:
+        return
     _check_prime_bits(p, "p")
     if not is_prime(p):
         raise error(refusal.format(p))

@@ -107,15 +107,23 @@ def parse_signature(text: str) -> FuchsianSignature:
     if len(parts) != 3:
         raise InvalidSignature(f"signature must have three ';'-separated fields: {_quote(text)}")
     g_text, orders_text, h_text = (p.strip() for p in parts)
-    try:
-        genus = int(g_text)
-        cusps = int(h_text)
-        orders = ()
-        if orders_text not in ("-", ""):
-            orders = tuple(int(m) for m in orders_text.split(","))
-    except ValueError as exc:
-        raise InvalidSignature(f"malformed signature {_quote(text)}: {exc}") from None
+    genus = _signature_int(g_text, text)
+    cusps = _signature_int(h_text, text)
+    orders = ()
+    if orders_text not in ("-", ""):
+        orders = tuple(_signature_int(m, text) for m in orders_text.split(","))
     return FuchsianSignature(genus, orders, cusps)
+
+
+def _signature_int(field: str, text: str) -> int:
+    """int(field), or InvalidSignature quoting the signature text and the field through _quote."""
+    try:
+        return int(field)
+    except ValueError as exc:
+        reason = str(exc)
+        if reason.startswith("invalid literal"):  # int() repeats up to 200 characters
+            reason = f"invalid literal for int() with base 10: {_quote(field)}"
+        raise InvalidSignature(f"malformed signature {_quote(text)}: {reason}") from None
 
 
 def covolume(sig: FuchsianSignature) -> PiRational:

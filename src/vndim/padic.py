@@ -25,7 +25,9 @@ odd order q.  Everything computable here reduces to exact rational arithmetic:
   digits.
 
 A p that must be prime goes through finite_field._check_prime, the one check of p
-that PrimePower shares: TooLarge past PRIME_BITS_GUARD bits, before it is tested.
+that PrimePower shares.  A prime up to 41 is looked up in is_prime's own table and
+not tested; any other p is refused with TooLarge past PRIME_BITS_GUARD bits, then
+tested once.
 """
 
 import enum
@@ -81,7 +83,9 @@ def padic_valuation(r: Fraction, p: int):
 
 def _valuation(r: Fraction, p: int):
     """padic_valuation with p already known to be prime, in O(log v) divisions."""
-    if not isinstance(r, (int, Fraction)):  # an int or a Fraction has its terms already
+    # an int or a Fraction has its terms already; a plain Fraction, the commonest, is
+    # recognized by its type alone
+    if type(r) is not Fraction and not isinstance(r, (int, Fraction)):
         r = _fraction(r)
     num, den = r.as_integer_ratio()  # % and divmod strip p from a negative num exactly
     if not num:
@@ -287,7 +291,8 @@ def weyl_partial_sum(q, max_length: int) -> Fraction:
     s = 0
     for _ in range(max_length):
         s = s * n + 1
-    return Fraction(2 * (n**max_length + 2 * s), n**max_length)
+    power = n**max_length
+    return Fraction(2 * (power + 2 * s), power)
 
 
 def weyl_closed_form(q) -> Fraction:

@@ -8,8 +8,11 @@ library against it.
 """
 
 import functools
+import math
 from fractions import Fraction
 from itertools import product
+
+from vndim.errors import TooLarge
 
 
 def cms_steinberg_check(q: int, n: int = 2) -> Fraction:
@@ -150,3 +153,14 @@ def free_product_histogram(max_length: int) -> dict:
     for word in seen:
         hist[len(word)] = hist.get(len(word), 0) + 1
     return hist
+
+
+def check_prime_in_full(p, error, refusal: str = "{} is not prime", bits_guard: int = 3200):
+    """The rule for a p that must be prime, with no table of small primes: an int of
+    more than bits_guard bits is a TooLarge, then anything but a prime int (a bool is
+    not an int) is error(refusal.format(p)).  Primality is decided by trial division,
+    so p must be small or have a small factor."""
+    if type(p) is int and p.bit_length() > bits_guard:
+        raise TooLarge(f"p of {p.bit_length()} bits exceeds primality guard {bits_guard} bits")
+    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise error(refusal.format(p))

@@ -333,6 +333,10 @@ def test_a_table_past_the_row_guard_is_refused(capsys, name, rows):
     ("factor", "jones", "--sub", "x" * 5000, "--ambient", "1"),
     ("ff", "countregular", "--q", "3", "--nu", "x" * 5000),
     ("fuchsian", "covolume", "--sig", "x" * 5000),
+    ("fuchsian", "covolume", "--sig", "x" * 5000 + ";-;1"),
+    ("fuchsian", "covolume", "--sig", "0;" + "x" * 5000 + ";1"),
+    ("fuchsian", "covolume", "--sig", "0;2," + "x" * 5000 + ";1"),
+    ("fuchsian", "covolume", "--sig", "0;-;" + "x" * 5000),
     ("fuchsian", "catalog", "--name", "H" + "x" * 5000),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_a_refusal_does_not_echo_a_long_input(capsys, argv):

@@ -99,6 +99,33 @@ def test_zero_is_canonical():
     assert z == PiRational(0) and z.pi_exp == 0
 
 
+def construct_in_full(coeff, pi_exp):
+    """PiRational(coeff, pi_exp) by its four checks, each on its own: the coefficient as a
+    Fraction, an int exponent, exponent 0 for a zero coefficient, then the range [-1, 1].
+    The stored (coeff, pi_exp), or the class and text of the refusal."""
+    coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+    if type(pi_exp) is not int:
+        return ExponentOverflow, f"pi exponent must be an integer, got {pi_exp!r}"
+    if pi_exp != 0 and coeff == 0:
+        pi_exp = 0
+    if pi_exp not in (-1, 0, 1):
+        return ExponentOverflow, f"pi exponent {pi_exp} outside supported range [-1, 1]"
+    return coeff, pi_exp
+
+
+@pytest.mark.parametrize("coeff", [0, Fraction(1, 3), Fraction(-1, 3), "2/4"], ids=repr)
+def test_the_constructor_follows_its_four_checks(coeff):
+    for pi_exp in [*range(-3, 4), True, False, 1.0, None, 2**70]:
+        try:
+            x = PiRational(coeff, pi_exp)
+        except ExponentOverflow as exc:
+            got = type(exc), str(exc)
+        else:
+            assert type(x.coeff) is Fraction and type(x.pi_exp) is int
+            got = x.coeff, x.pi_exp
+        assert got == construct_in_full(coeff, pi_exp), pi_exp
+
+
 class FractionSubclass(Fraction):
     pass
 

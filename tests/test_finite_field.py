@@ -2,6 +2,7 @@ import functools
 import math
 import time
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +10,9 @@ import pytest
 
 from vndim import finite_field
 from vndim.cli import main
-from vndim.errors import DomainError, EvenResidue, NotPrimePower, TooLarge
+from vndim.errors import DomainError, EvenResidue, NotPrime, NotPrimePower, TooLarge
 from vndim.finite_field import (
+    PRIME_BITS_GUARD,
     NormTraceFacts,
     PrimePower,
     as_prime_power,
@@ -26,11 +28,18 @@ from vndim.finite_field import (
     is_regular,
     norm_trace_facts,
 )
-from vndim.finite_field import _MILLER_RABIN_BOUNDS, _SMALL_PRIMES, _frobenius, _hilbert90_quotients
+from vndim.finite_field import (
+    _MILLER_RABIN_BOUNDS,
+    _SMALL_PRIMES,
+    _check_prime,
+    _frobenius,
+    _hilbert90_quotients,
+)
 from vndim.padic import HaarNormalization, PadicRep, depth_zero_formal_dim, vn_dimension_padic
 from vndim.tables import build_table
 
 from oracles import (
+    check_prime_in_full,
     factors_through_norm,
     hilbert90_powers,
     least_irreducible_by_division,
@@ -426,10 +435,49 @@ def test_direct_construction_rejects_a_composite_p():
             PrimePower(p, 1)
 
 
-@pytest.mark.parametrize("q", [3, 43, 10**6 + 3, 3**4, (10**6 + 3) ** 2, (2**61 - 1) ** 2])
-def test_prime_power_parsing_tests_primality_once(monkeypatch, q):
-    import vndim.finite_field as finite_field
+def check_outcome(check, p, error, refusal):
+    """None when check(p, error, refusal) passes, else the class and text of its refusal."""
+    try:
+        check(p, error, refusal)
+    except (TooLarge, error) as exc:
+        return type(exc), str(exc)
+    return None
 
+
+@pytest.mark.parametrize("error, refusal", [
+    (NotPrime, "{} is not prime"),
+    (NotPrimePower, "{} is not prime"),
+    (NotPrime, "the formal-dimension table needs a prime p, got {}"),
+])
+def test_check_prime_follows_the_rule_in_full(error, refusal):
+    hostile = [3.0, True, False, "3", None, Fraction(3), Decimal("3")]
+    at_guard = [2**3199, 2**3200 - 1, 2**3200, -(2**3200), 2**3200 + 1]  # 3200, 3201 bits
+    assert PRIME_BITS_GUARD == 3200
+    for p in [*range(-2, 2001), *hostile, *at_guard]:
+        assert (check_outcome(_check_prime, p, error, refusal)
+                == check_outcome(check_prime_in_full, p, error, refusal)), p
+
+
+def test_a_huge_p_is_refused_by_its_bits_at_once():
+    huge = 1 << 10**8
+    for p in (huge, -huge):  # hashing either would take about 10 ms
+        seconds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match="^p of 100000001 bits exceeds primality guard"):
+                _check_prime(p, NotPrime)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 1e-3, seconds
+    seconds, p = [], -huge
+    for _ in range(5):
+        start = time.perf_counter()
+        assert not is_prime(p)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1e-3, seconds
+
+
+def parse_counting(monkeypatch, q) -> tuple:
+    """PrimePower.from_int(q), and the arguments of every is_prime call that it makes."""
     calls = []
     is_prime_ = finite_field.is_prime
 
@@ -438,9 +486,20 @@ def test_prime_power_parsing_tests_primality_once(monkeypatch, q):
         return is_prime_(n)
 
     monkeypatch.setattr(finite_field, "is_prime", counting)
-    pp = PrimePower.from_int(q)
+    return PrimePower.from_int(q), calls
+
+
+@pytest.mark.parametrize("q", [47, 43, 10**6 + 3, 43**4, (10**6 + 3) ** 2, (2**61 - 1) ** 2])
+def test_prime_power_parsing_tests_primality_once(monkeypatch, q):
+    pp, calls = parse_counting(monkeypatch, q)
     assert pp.q == q
     assert calls == [pp.p]
+
+
+@pytest.mark.parametrize("q", [3, 3**4, 41, 41**3])
+def test_prime_power_parsing_of_a_tabled_prime_tests_nothing(monkeypatch, q):
+    pp, calls = parse_counting(monkeypatch, q)
+    assert (pp.q, calls) == (q, [])
 
 
 def scan_gl2(q):

@@ -617,17 +617,20 @@ def test_negative_weyl_length_is_refused():
 # -- each public call tests p once ------------------------------------------------------
 
 
-@pytest.mark.parametrize("call", [
-    lambda: padic_valuation(Fraction(18, 5), 3),
-    lambda: padic_abs(Fraction(18, 5), 3),
-    lambda: ultrametric_check(Fraction(1, 3), Fraction(2, 3), 3),
-    lambda: quadratic_extension_count(3),
-    lambda: jl_formal_dim(3, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
-    lambda: main(["padic", "valuation", "--r", "18/5", "--p", "3"]),
-    lambda: PrimePower(3, 1),
-], ids=["padic_valuation", "padic_abs", "ultrametric_check", "quadratic_extension_count",
-        "jl_formal_dim", "cli-valuation", "PrimePower"])
-def test_p_is_tested_once(monkeypatch, capsys, call):
+#: Each public call that checks p, as a function of p.
+P_CALLS = {
+    "padic_valuation": lambda p: padic_valuation(Fraction(18, 5), p),
+    "padic_abs": lambda p: padic_abs(Fraction(18, 5), p),
+    "ultrametric_check": lambda p: ultrametric_check(Fraction(1, 3), Fraction(2, 3), p),
+    "quadratic_extension_count": quadratic_extension_count,
+    "jl_formal_dim": lambda p: jl_formal_dim(p, JLClass(JLTag.UNRAMIFIED_CUSPIDAL, 2)),
+    "cli-valuation": lambda p: main(["padic", "valuation", "--r", "18/5", "--p", str(p)]),
+    "PrimePower": lambda p: PrimePower(p, 1),
+}
+
+
+def is_prime_calls(monkeypatch, call) -> list:
+    """The arguments of every is_prime call that call() makes."""
     import vndim.finite_field as finite_field
 
     calls = []
@@ -639,7 +642,23 @@ def test_p_is_tested_once(monkeypatch, capsys, call):
 
     monkeypatch.setattr(finite_field, "is_prime", counting)
     call()
-    assert calls == [3]
+    return calls
+
+
+@pytest.mark.parametrize("name", P_CALLS)
+def test_p_is_tested_once(monkeypatch, capsys, name):
+    # 43 is the least prime past is_prime's table of the primes up to 41
+    assert is_prime_calls(monkeypatch, lambda: P_CALLS[name](43)) == [43]
+
+
+@pytest.mark.parametrize("p", [3, 41])
+@pytest.mark.parametrize("name", [*P_CALLS, "jl-table"])
+def test_a_tabled_p_is_not_tested(monkeypatch, capsys, name, p):
+    # a prime up to 41 is found in is_prime's table; 3.0 is still tested once (below)
+    from vndim.tables import build_table
+
+    call = P_CALLS.get(name, lambda p: build_table(f"jl:{p}:40"))
+    assert is_prime_calls(monkeypatch, lambda: call(p)) == []
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -671,20 +690,11 @@ def test_one_test_of_p_still_refuses_a_composite():
 
 
 def test_jl_table_tests_p_once(monkeypatch):
-    import vndim.finite_field as finite_field
     from vndim.tables import build_table
 
-    calls = []
-    is_prime = finite_field.is_prime
-
-    def counting(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(finite_field, "is_prime", counting)
-    table = build_table("jl:3:40")
-    assert len(table.rows) == 1 + 40 + 20
-    assert calls == [3]
+    tables = []
+    assert is_prime_calls(monkeypatch, lambda: tables.append(build_table("jl:43:40"))) == [43]
+    assert len(tables[0].rows) == 1 + 40 + 20
 
 
 @pytest.mark.parametrize("name, error, message", [
